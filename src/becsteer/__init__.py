@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .grid import CylGrid, GridError, build_grid, inner, integrate, norm
 from .meanfield import (ComponentState, ConvergenceError, FockVector,
                         IntegrationError, PhysicalParams, SplitStepEvolver,
-                        chemical_potential, energy, gpe_residual, ground_state,
+                        chemical_potential, gpe_residual, ground_state,
                         load_snapshot, save_snapshot, stable_dt)
 from .fockflow import (DisplacementError, TrajectorySet, central_fock,
                        init_trajectories)
@@ -24,8 +24,8 @@ from .correlators import (CorrelatorInputs, EPRResult, MultiIndex,
 from .sequence import (PointResult, ProtocolConfig, component_potentials,
                        prepare_initial, ramp_displacement, run_point,
                        run_protocol, well_separation)
-from .oracle4mode import (FourModeState, adiabatic_phases, adiabatic_witness,
-                          evolve_exact, extract_chi, oracle_moments,
-                          oracle_witness, pulse_state)
+from .oracle4mode import (FourModeState, adiabatic_phases, evolve_exact,
+                          extract_chi, oracle_moments, oracle_witness,
+                          pulse_state)
 from .losses import LossBudget, loss_estimate
 from .config import ConfigError, RunConfig, load_config, parse_config

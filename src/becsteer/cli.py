@@ -80,20 +80,20 @@ def _point_job(payload):
     cfg = RunConfig(values)
     proto = cfg.protocol(snapshot_path=snapshot_path)
     t0 = time.time()
+    oracle_e = float("nan")
     try:
         point = run_point(proto, t_int, params=cfg.params, prep=prep)
+        if with_oracle:
+            phis = adiabatic_phases(proto, t_int, params=cfg.params,
+                                    n_samples=values["oracle_samples"],
+                                    dn=values["oracle_dn"])
+            st = evolve_exact(pulse_state(proto.n_a, proto.n_b,
+                                          proto.pulse_amplitudes()), *phis)
+            oracle_e = oracle_witness(st).e_epr
     except Exception as exc:  # noqa: BLE001 - per-point fault isolation
         from .sequence import PointResult
         point = PointResult(t_int=t_int, t_total=2.0 * proto.t_ramp + t_int,
                             error=f"{type(exc).__name__}: {exc}")
-    oracle_e = float("nan")
-    if with_oracle and point.error is None:
-        phis = adiabatic_phases(proto, t_int, params=cfg.params,
-                                n_samples=values["oracle_samples"],
-                                dn=values["oracle_dn"])
-        st = evolve_exact(pulse_state(proto.n_a, proto.n_b,
-                                      proto.pulse_amplitudes()), *phis)
-        oracle_e = oracle_witness(st).e_epr
     return point, oracle_e, time.time() - t0
 
 

@@ -11,8 +11,10 @@ parentheses, ``pi``) and an optional unit suffix, e.g.::
     a_00     = 100.4 bohr
 
 Times given in seconds are converted to oscillator units with the configured
-omega; ``a0`` denotes the oscillator length.  Unknown keys, malformed values
-and constraint violations raise ConfigError with the offending line number.
+omega; ``a0`` denotes the oscillator length.  A list takes one unit: a
+trailing unit applies to every value, and differing units are an error.
+Unknown keys, malformed values and constraint violations raise ConfigError
+with the offending line number.
 """
 
 import ast
@@ -35,12 +37,16 @@ _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
 
 
 def _eval_number(text):
-    """Safe arithmetic evaluation of a numeric expression."""
+    """Safe arithmetic evaluation of a numeric expression, in floats.
+
+    Float powers overflow at once instead of building huge integers, so
+    `9**9**9` fails fast rather than hanging.
+    """
     def ev(node):
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return node.value
+            return float(node.value)
         if isinstance(node, ast.Name) and node.id == "pi":
             return math.pi
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
@@ -52,7 +58,10 @@ def _eval_number(text):
         raise ValueError("unsupported expression")
     try:
         return float(ev(ast.parse(text, mode="eval")))
-    except (ValueError, SyntaxError, ZeroDivisionError) as exc:
+    except OverflowError as exc:
+        raise ValueError(f"numeric overflow in {text!r}") from exc
+    except (ValueError, TypeError, SyntaxError, ZeroDivisionError,
+            RecursionError) as exc:
         raise ValueError(f"bad numeric expression {text!r}") from exc
 
 
@@ -173,23 +182,25 @@ def _parse_value(key, raw, lineno):
             return False
         raise ConfigError(f"line {lineno}: boolean key {key!r} got {raw!r}")
 
-    def one(tok):
+    def split_unit(tok):
         tok = tok.strip()
         parts = tok.rsplit(None, 1)
-        unit = None
         if len(parts) == 2 and units and parts[1] in units:
-            tok, unit = parts[0], parts[1]
-        elif len(parts) == 2 and not parts[1][0].isdigit() \
+            return parts[0], parts[1]
+        if len(parts) == 2 and not parts[1][0].isdigit() \
                 and parts[1][0] not in "+-.(":
             raise ConfigError(
                 f"line {lineno}: key {key!r} got unit {parts[1]!r}, "
                 f"expected one of {units or ()}")
+        return tok, None
+
+    def one(tok, unit):
         try:
             val = _eval_number(tok)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
         if kind == "int":
-            if abs(val - round(val)) > 1e-9:
+            if not math.isfinite(val) or abs(val - round(val)) > 1e-9:
                 raise ConfigError(f"line {lineno}: key {key!r} must be an "
                                   f"integer, got {val!r}")
             return int(round(val))
@@ -198,13 +209,17 @@ def _parse_value(key, raw, lineno):
         return val
 
     if is_list:
-        toks = [t for t in raw.split(",") if t.strip()]
+        toks = [split_unit(t) for t in raw.split(",") if t.strip()]
         if not toks:
             raise ConfigError(f"line {lineno}: key {key!r} needs at least one value")
-        # a trailing unit applies to the whole list
-        vals = [one(t) for t in toks]
-        return vals
-    return one(raw)
+        # a list has one unit: a trailing unit applies to the whole list
+        explicit = sorted({u for _, u in toks if u is not None})
+        if len(explicit) > 1:
+            raise ConfigError(f"line {lineno}: key {key!r} mixes units "
+                              f"{', '.join(explicit)} in one list")
+        unit = explicit[0] if explicit else None
+        return [one(t, unit) for t, _ in toks]
+    return one(*split_unit(raw))
 
 
 def parse_config(text, overrides=()):

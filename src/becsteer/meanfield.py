@@ -134,25 +134,54 @@ def _cayley_pair(sub, diag, sup, tau):
     return spla.splu(a), b
 
 
-class SplitStepEvolver:
-    """Second-order Strang split-step for the coupled time-dependent GPE.
+def _mean_field(g4, psi, ns):
+    """g_aa max(N_a - 1, 0) |psi_a|^2 + sum_{a'!=a} g_aa' N_a' |psi_a'|^2.
 
-    The kinetic part is applied by Cayley (Crank-Nicolson) transforms per
-    direction, which preserve the weighted norm exactly; the potential and
-    nonlinear part is an exact local phase.  Works on a batch of Fock
-    configurations at once: psi shaped (n_cfg, 4, n_r, n_z).
+    psi is (..., 4, n_r, n_z) with occupations ns shaped (..., 4).  The
+    intra-species factor removes one self atom and is floored at zero, so
+    empty and fractional components stay linear.
+    """
+    g4 = np.asarray(g4, dtype=float)
+    ns = np.asarray(ns, dtype=float)
+    dens = np.abs(psi) ** 2
+    tot = np.einsum("ab,...bij->...aij", g4, ns[..., :, None, None] * dens)
+    tot -= (np.diag(g4)[:, None, None] * np.minimum(ns, 1.0)[..., :, None, None]) * dens
+    return tot
+
+
+def _norms(grid, f):
+    """Grid norm of each (n_r, n_z) field in f."""
+    return np.sqrt(np.sum(grid.weights * np.abs(f) ** 2, axis=(-2, -1)))
+
+
+def _gpe_apply(grid, psi, ns, potentials, g4):
+    """(h + mean field) psi for all four components, and the effective potential."""
+    veff = potentials + _mean_field(g4, psi, ns)
+    return apply_kinetic_potential(grid, psi, veff), veff
+
+
+class SplitStepEvolver:
+    """Second-order Strang split-step for the coupled GPE, exp(-h H) per step.
+
+    Real time uses h = i dt.  With imaginary=True, h = dt relaxes towards the
+    ground state instead; the caller renormalizes after each step.  The
+    kinetic part is applied by Cayley (Crank-Nicolson) transforms per
+    direction, which preserve the weighted norm exactly in real time; the
+    potential and nonlinear part is an exact local factor.  Works on a batch
+    of Fock configurations at once: psi shaped (n_cfg, 4, n_r, n_z).
     """
 
-    def __init__(self, grid, g4, dt):
+    def __init__(self, grid, g4, dt, imaginary=False):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.g4 = np.asarray(g4, dtype=float)
-        self.g4_diag = np.diag(self.g4).copy()
         self.dt = float(dt)
-        # z half step twice, r full step once per kinetic sweep
-        self._lu_z, self._b_z = _cayley_pair(*grid.axial_tridiag(), 1j * dt / 2)
-        self._lu_r, self._b_r = _cayley_pair(*grid.radial_tridiag(), 1j * dt)
+        self._h = self.dt if imaginary else 1j * self.dt
+        # z half step twice, r full step once per kinetic sweep; complex in
+        # both modes so that complex wavefunctions pass through
+        self._lu_z, self._b_z = _cayley_pair(*grid.axial_tridiag(), self._h / 2 + 0j)
+        self._lu_r, self._b_r = _cayley_pair(*grid.radial_tridiag(), self._h + 0j)
 
     def _apply_axis(self, psi, lu, b, axis):
         moved = np.moveaxis(psi, axis, 0)
@@ -167,27 +196,17 @@ class SplitStepEvolver:
         psi = self._apply_axis(psi, self._lu_z, self._b_z, -1)
         return psi
 
-    def mean_field(self, psi, ns):
-        """g_aa (N_a - 1) |psi_a|^2 + sum_{a'!=a} g_aa' N_a' |psi_a'|^2."""
-        dens = np.abs(psi) ** 2
-        ns = np.asarray(ns, dtype=float)
-        weighted = ns[..., :, None, None] * dens
-        tot = np.einsum("ab,...bij->...aij", self.g4, weighted)
-        # remove one self atom: intra-species factor is (N_a - 1), floored at
-        # zero so that empty components stay linear
-        self_fac = np.minimum(ns, 1.0)
-        tot -= (self.g4_diag[:, None, None] * self_fac[..., :, None, None]) * dens
-        return tot
+    def _half_phase(self, psi, ns, v):
+        return psi * np.exp(-0.5 * self._h * (v + _mean_field(self.g4, psi, ns)))
 
-    def _phase(self, psi, ns, v, tau):
-        return psi * np.exp(-1j * tau * (v + self.mean_field(psi, ns)))
+    def _strang(self, psi, ns, v0, v1):
+        psi = self._half_phase(psi, ns, v0)
+        psi = self._kinetic(psi)
+        return self._half_phase(psi, ns, v1)
 
     def step(self, psi, ns, v_t, v_t_dt):
         """Advance one dt; v_t and v_t_dt are (4, n_r, n_z) potential stacks."""
-        psi = self._phase(psi, ns, v_t, self.dt / 2)
-        psi = self._kinetic(psi)
-        psi = self._phase(psi, ns, v_t_dt, self.dt / 2)
-        return psi
+        return self._strang(psi, ns, v_t, v_t_dt)
 
     def check_norms(self, psi, tol=1e-6):
         nrm = np.real(np.sum(self.grid.weights * np.abs(psi) ** 2, axis=(-2, -1)))
@@ -205,11 +224,6 @@ def stable_dt(grid, g4, potentials, psi, ns, margin=0.05, floor=1e-8):
     gn = np.einsum("ab,...bij->...aij", np.asarray(g4), np.asarray(ns)[..., :, None, None] * dens)
     scale = (np.abs(potentials) + gn)[..., mask].max()
     return margin / scale
-
-
-def energy(state, potentials, g4):
-    """Total energy of a ComponentState (kinetic + trap + interactions)."""
-    return energy_fields(state.grid, state.psi, state.fock.as_array(), potentials, g4)
 
 
 def energy_fields(grid, psi, ns, potentials, g4):
@@ -233,70 +247,17 @@ def energy_fields(grid, psi, ns, potentials, g4):
     return e
 
 
-def _gpe_hamiltonian_apply(grid, psi, a, ns, potentials, g4, dens):
-    """Apply h_a + g_aa(N_a-1)|phi_a|^2 + sum g_aa' N_a' |phi_a'|^2 to phi_a."""
-    veff = potentials[a].astype(float).copy()
-    veff += g4[a, a] * max(ns[a] - 1.0, 0.0) * dens[a]
-    for b in range(4):
-        if b != a:
-            veff += g4[a, b] * ns[b] * dens[b]
-    return apply_kinetic_potential(grid, psi[a], veff), veff
-
-
 def chemical_potential(grid, psi, ns, potentials, g4):
     """Per-component chemical potentials mu_a = <phi_a|h_a + mean field|phi_a>."""
-    ns = np.asarray(ns, dtype=float)
-    dens = np.abs(psi) ** 2
-    mus = np.empty(4)
-    for a in range(4):
-        h_psi, _ = _gpe_hamiltonian_apply(grid, psi, a, ns, potentials, g4, dens)
-        mus[a] = np.real(inner(grid, psi[a], h_psi))
-    return mus
+    h_psi, _ = _gpe_apply(grid, psi, ns, potentials, g4)
+    return np.real(inner(grid, psi, h_psi))
 
 
 def gpe_residual(grid, psi, ns, potentials, g4):
     """Grid norm of (h + mean field - mu) phi per component."""
-    ns = np.asarray(ns, dtype=float)
-    dens = np.abs(psi) ** 2
-    res = np.empty(4)
-    for a in range(4):
-        h_psi, _ = _gpe_hamiltonian_apply(grid, psi, a, ns, potentials, g4, dens)
-        mu = np.real(inner(grid, psi[a], h_psi))
-        res[a] = norm(grid, h_psi - mu * psi[a])
-    return res
-
-
-class _ImagEvolver:
-    """Imaginary-time split step with per-step renormalization."""
-
-    def __init__(self, grid, g4, tau):
-        self.grid = grid
-        self.g4 = np.asarray(g4, dtype=float)
-        self.g4_diag = np.diag(self.g4).copy()
-        self.tau = float(tau)
-        # complex dtype so warm starts with residual imaginary parts pass through
-        self._lu_z, self._b_z = _cayley_pair(*grid.axial_tridiag(), tau / 2 + 0j)
-        self._lu_r, self._b_r = _cayley_pair(*grid.radial_tridiag(), tau + 0j)
-        self._ev = SplitStepEvolver.__new__(SplitStepEvolver)  # reuse appliers
-        self._ev.grid = grid
-
-    def step(self, psi, ns, v):
-        dens = np.abs(psi) ** 2
-        ns = np.asarray(ns, dtype=float)
-        weighted = ns[:, None, None] * dens
-        tot = np.einsum("ab,bij->aij", self.g4, weighted)
-        tot -= (self.g4_diag[:, None, None] * np.minimum(ns, 1.0)[:, None, None]) * dens
-        psi = psi * np.exp(-0.5 * self.tau * (v + tot))
-        psi = SplitStepEvolver._apply_axis(self._ev, psi, self._lu_z, self._b_z, -1)
-        psi = SplitStepEvolver._apply_axis(self._ev, psi, self._lu_r, self._b_r, -2)
-        psi = SplitStepEvolver._apply_axis(self._ev, psi, self._lu_z, self._b_z, -1)
-        dens = np.abs(psi) ** 2
-        weighted = ns[:, None, None] * dens
-        tot = np.einsum("ab,bij->aij", self.g4, weighted)
-        tot -= (self.g4_diag[:, None, None] * np.minimum(ns, 1.0)[:, None, None]) * dens
-        psi = psi * np.exp(-0.5 * self.tau * (v + tot))
-        nrm = np.sqrt(np.real(np.sum(self.grid.weights * np.abs(psi) ** 2, axis=(-2, -1))))
-        return psi / nrm[:, None, None]
+    h_psi, _ = _gpe_apply(grid, psi, ns, potentials, g4)
+    mu = np.real(inner(grid, psi, h_psi))
+    return norm(grid, h_psi - mu[:, None, None] * psi)
 
 
 def _descent_polish(grid, psi, ns, potentials, g4, tol, max_iter=60000):
@@ -306,27 +267,17 @@ def _descent_polish(grid, psi, ns, potentials, g4, tol, max_iter=60000):
     effective Hamiltonian, so the iteration is unconditionally contracting;
     the fixed point has residual zero on the discrete GPE.
     """
-    ns = np.asarray(ns, dtype=float)
-    g4 = np.asarray(g4, dtype=float)
-    g4_diag = np.diag(g4).copy()
     lam_kin = 0.5 * (4.0 / grid.dr**2 + 4.0 / grid.dz**2)
-    w = grid.weights
     for it in range(max_iter):
-        dens = np.abs(psi) ** 2
-        weighted = ns[:, None, None] * dens
-        tot = np.einsum("ab,bij->aij", g4, weighted)
-        tot -= (g4_diag[:, None, None] * np.minimum(ns, 1.0)[:, None, None]) * dens
-        veff = potentials + tot
-        hpsi = -0.5 * grid.laplacian(psi) + veff * psi
-        mu = np.real(np.sum(w * np.conj(psi) * hpsi, axis=(-2, -1)))
+        hpsi, veff = _gpe_apply(grid, psi, ns, potentials, g4)
+        mu = np.real(inner(grid, psi, hpsi))
         res_vec = hpsi - mu[:, None, None] * psi
-        resn = np.sqrt(np.real(np.sum(w * np.abs(res_vec) ** 2, axis=(-2, -1))))
+        resn = _norms(grid, res_vec)
         if resn.max() < tol:
             return psi
         tau = 1.8 / (lam_kin + veff.max(axis=(-2, -1))[:, None, None] - mu[:, None, None])
         psi = psi - tau * res_vec
-        nrm = np.sqrt(np.real(np.sum(w * np.abs(psi) ** 2, axis=(-2, -1))))
-        psi = psi / nrm[:, None, None]
+        psi = psi / _norms(grid, psi)[:, None, None]
     raise ConvergenceError(
         f"ground state not converged after {max_iter} descent iterations, "
         f"residual {resn.max():.3e}")
@@ -350,13 +301,14 @@ def ground_state(grid, fock, potentials, g4, tol=1e-8, tau=0.05,
             psi[a] = gauss / norm(grid, gauss)
     else:
         psi = psi0.astype(complex).copy()
-        psi /= np.sqrt(np.real(np.sum(grid.weights * np.abs(psi) ** 2,
-                                      axis=(-2, -1))))[:, None, None]
+        psi /= _norms(grid, psi)[:, None, None]
 
-    ev = _ImagEvolver(grid, g4, tau)
+    ev = SplitStepEvolver(grid, g4, tau, imaginary=True)
     prev_e = np.inf
     for it in range(relax_iters):
-        psi = ev.step(psi, ns, potentials)
+        # not `step`, whose calls count the real-time steps of a run
+        psi = ev._strang(psi, ns, potentials, potentials)
+        psi = psi / _norms(grid, psi)[:, None, None]
         if it % 25 == 24:
             e = energy_fields(grid, psi, ns, potentials, g4)
             if abs(prev_e - e) < relax_tol * max(abs(e), 1.0):
@@ -365,10 +317,8 @@ def ground_state(grid, fock, potentials, g4, tol=1e-8, tau=0.05,
 
     psi = _descent_polish(grid, psi, ns, potentials, g4, tol)
     fv = fock if isinstance(fock, FockVector) else FockVector(*[int(round(x)) for x in ns])
-    state = ComponentState(grid, psi, fv, 0.0,
-                           chemical_potential(grid, psi, ns, potentials, g4))
-    state._g4 = np.asarray(g4, dtype=float)
-    return state
+    return ComponentState(grid, psi, fv, 0.0,
+                          chemical_potential(grid, psi, ns, potentials, g4))
 
 
 # ---------------------------------------------------------------------------

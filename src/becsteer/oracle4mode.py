@@ -204,18 +204,3 @@ def adiabatic_phases(cfg, t_int, params=None, n_samples=9, dn=None, tol=1e-8):
     total = 2.0 * ramp + hold
     return tuple(total)
 
-
-def adiabatic_witness(cfg, params=None, n_samples=9, dn=None, tol=1e-8):
-    """Adiabatic witness curve over the configured hold times."""
-    C = cfg.pulse_amplitudes()
-    out = []
-    for t_int in cfg.t_int:
-        phi_a, phi_b, phi_ab = adiabatic_phases(cfg, t_int, params=params,
-                                                n_samples=n_samples, dn=dn,
-                                                tol=tol)
-        st = evolve_exact(pulse_state(cfg.n_a, cfg.n_b, C),
-                          phi_a, phi_b, phi_ab)
-        res = oracle_witness(st)
-        res.t = 2.0 * cfg.t_ramp + t_int
-        out.append(res)
-    return out

@@ -84,6 +84,25 @@ def test_wrong_unit_rejected():
         parse_config(TINY + "dz_max = 3 meters\n")
 
 
+def test_trailing_unit_applies_to_whole_list():
+    cfg = parse_config(TINY + "t_int = 0, 0.05, 0.1 s\n")
+    omega = 2 * math.pi * 20
+    assert cfg.values["t_int"] == pytest.approx([0.0, 0.05 * omega, 0.1 * omega])
+
+
+def test_mixed_units_in_list_rejected():
+    with pytest.raises(ConfigError, match="line 12.*mixes units"):
+        parse_config(TINY + "t_int = 0.05 s, 2 /omega\n")
+
+
+@pytest.mark.parametrize("expr", [
+    "10**400", "1e999", "9**9**9", "(-8)**0.5",
+    pytest.param("-" * 5000 + "1", id="deep_nesting")])
+def test_numeric_overflow_reports_line(expr):
+    with pytest.raises(ConfigError, match="line 12"):
+        parse_config(TINY + f"n_a = {expr}\n")
+
+
 def test_set_overrides_win():
     cfg = parse_config(TINY, overrides=("n_a = 30",))
     assert cfg.values["n_a"] == 30
@@ -191,6 +210,21 @@ def test_cli_run_with_oracle(tmp_path):
     cols = read_columns(out / "results.csv")
     assert len(cols["oracle_E_EPR"]) == 2
     assert all(math.isfinite(v) for v in cols["oracle_E_EPR"])
+
+
+def test_cli_oracle_fault_marks_point_failed(tmp_path, monkeypatch):
+    import becsteer.oracle4mode
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("oracle fault")
+    monkeypatch.setattr(becsteer.oracle4mode, "adiabatic_phases", broken)
+    cfgp = write_tiny(tmp_path, "with_oracle = true\n")
+    out = tmp_path / "run_orc_fault"
+    assert main(["run", "--config", cfgp, "--out", str(out)]) == 2
+    man = json.loads((out / "manifest.json").read_text())
+    assert [p["status"] for p in man["points"]] == ["failed", "failed"]
+    assert all("oracle fault" in p["error"] for p in man["points"])
+
 
 def test_cli_losses(tmp_path, capsys):
     cfgp = write_tiny(tmp_path, "tau_1 = 60 s\nt_loss = 0.2 s\n")

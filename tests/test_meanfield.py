@@ -152,3 +152,28 @@ def test_chemical_potential_matches_energy_derivative(grid, par):
         st2 = ground_state(grid, occ, trap(grid), g4, psi0=st.psi)
         es.append(energy_fields(grid, st2.psi, occ, trap(grid), g4))
     assert mu == pytest.approx((es[0] - es[1]) / 2.0, rel=1e-3)
+
+
+def test_chemical_potential_self_interaction_floor(grid, par):
+    # empty and fractional occupations, as extract_chi produces for odd N:
+    # the intra-species factor is max(N_a - 1, 0)
+    g4 = par.g4()
+    ns = np.array([0.0, 0.5, 1.0, 3.0])
+    pots = trap(grid)
+    psi = np.empty((4,) + grid.shape, dtype=complex)
+    for a in range(4):
+        z0, w = 0.4 * (a - 1.5), 0.8 + 0.1 * a
+        f = np.exp(-(grid.r[:, None] ** 2 + (grid.z[None, :] - z0) ** 2)
+                   / (2 * w ** 2) + 0.3j * a * grid.z[None, :])
+        psi[a] = f / norm(grid, f)
+    dens = np.abs(psi) ** 2
+    expect = []
+    for a in range(4):
+        veff = pots[a] + g4[a, a] * max(ns[a] - 1.0, 0.0) * dens[a]
+        for b in range(4):
+            if b != a:
+                veff = veff + g4[a, b] * ns[b] * dens[b]
+        h_psi = -0.5 * grid.laplacian(psi[a]) + veff * psi[a]
+        expect.append(np.real(np.sum(grid.weights * np.conj(psi[a]) * h_psi)))
+    mu = chemical_potential(grid, psi, ns, pots, g4)
+    assert mu == pytest.approx(expect, rel=1e-12, abs=0)
