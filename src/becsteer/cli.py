@@ -8,13 +8,21 @@ Subcommands::
     becsteer losses --config fig3.cfg  --out results/
     becsteer check
 
+`run` and `sweep` share one engine: a sweep is a run over the grid
+sweep_n x sweep_dz_max x sweep_t_ramp (an unset axis keeps the config's
+value).  Each grid point gets one ground state, solved to `gs_tol` before
+any point runs; every (grid point, hold time) pair is then one point, and
+`--snapshot` writes snapshot_point{i}.txt over all points in row order.
+
 Results are written as a CSV (12 significant digits, fixed column order, so
 identical configs give byte-identical files regardless of worker count) plus
-a JSON manifest echoing the resolved config, versions and timings.
-Exit codes: 0 success, 2 at least one sweep point failed, 1 fatal error.
+a JSON manifest echoing the resolved config, versions, per-point notes and
+timings (`prepare` sums the ground-state solves).
+Exit codes: 0 success, 2 at least one scan point failed, 1 fatal error.
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -25,14 +33,17 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config, CONFIG_VERSION
+from .config import (ConfigError, RunConfig, load_config, CONFIG_VERSION,
+                     SWEEP_AXES)
 from .losses import loss_estimate
 from .meanfield import ground_state
-from .sequence import component_potentials, run_point, prepare_initial
+from .sequence import (PointResult, component_potentials, run_point,
+                       prepare_initial)
 
 CSV_COLUMNS = ("t_total_s", "t_int_s", "E_EPR", "alpha_opt", "beta_opt",
                "spin_len_a", "spin_len_b", "overlap_a", "overlap_b",
                "inferred_var_1", "inferred_var_2", "oracle_E_EPR")
+SWEEP_COLUMNS = ("n_a", "n_b", "dz_max", "t_ramp")
 
 
 def _sig(x):
@@ -70,64 +81,69 @@ def _manifest(path, cfg, command, timings, points):
         fh.write("\n")
 
 
+def _oracle_point(proto, t_int, params, values):
+    """Twisting phases and four-mode witness of one hold time, from the
+    adiabatic chi rates; oracle4mode is looked up at call time."""
+    from . import oracle4mode
+    phis = oracle4mode.adiabatic_phases(proto, t_int, params=params,
+                                        n_samples=values["oracle_samples"],
+                                        dn=values["oracle_dn"])
+    st = oracle4mode.evolve_exact(oracle4mode.pulse_state(
+        proto.n_a, proto.n_b, proto.pulse_amplitudes()), *phis)
+    return phis, oracle4mode.oracle_witness(st)
+
+
 def _point_job(payload):
     """One protocol point, run in a worker process."""
-    values, t_int, prep, snapshot_path, with_oracle = payload
-    from .config import RunConfig
-    from .oracle4mode import adiabatic_phases, evolve_exact, pulse_state, \
-        oracle_witness
-
+    values, t_int, prep, snapshot_path = payload
     cfg = RunConfig(values)
     proto = cfg.protocol(snapshot_path=snapshot_path)
     t0 = time.time()
     oracle_e = float("nan")
     try:
         point = run_point(proto, t_int, params=cfg.params, prep=prep)
-        if with_oracle:
-            phis = adiabatic_phases(proto, t_int, params=cfg.params,
-                                    n_samples=values["oracle_samples"],
-                                    dn=values["oracle_dn"])
-            st = evolve_exact(pulse_state(proto.n_a, proto.n_b,
-                                          proto.pulse_amplitudes()), *phis)
-            oracle_e = oracle_witness(st).e_epr
+        if values["with_oracle"]:
+            oracle_e = _oracle_point(proto, t_int, cfg.params, values)[1].e_epr
     except Exception as exc:  # noqa: BLE001 - per-point fault isolation
-        from .sequence import PointResult
         point = PointResult(t_int=t_int, t_total=2.0 * proto.t_ramp + t_int,
                             error=f"{type(exc).__name__}: {exc}")
     return point, oracle_e, time.time() - t0
 
 
-def _rows_from_points(cfg, jobs_out):
-    rows, notes, nfail = [], [], 0
-    omega = cfg.params.omega
-    for point, oracle_e, dt_s in jobs_out:
-        if point.error is not None:
-            nfail += 1
-            notes.append({"t_int": point.t_int, "status": "failed",
-                          "error": point.error, "seconds": dt_s})
-            continue
-        r = point.result
-        rows.append((point.t_total / omega, point.t_int / omega, r.e_epr,
-                     r.alpha, r.beta, r.spin_len_a, r.spin_len_b,
-                     r.overlap_a, r.overlap_b, r.inferred_var_1,
-                     r.inferred_var_2, oracle_e))
-        notes.append({"t_int": point.t_int, "status": "ok", "seconds": dt_s})
-    return rows, notes, nfail
+def _grid_points(cfg, command):
+    """(tag columns, [(tag, values)]): `run` is the single untagged point,
+    `sweep` the product of its axes; an unswept axis keeps the run's value."""
+    v = cfg.values
+    if command == "run":
+        return (), [((), v)]
+    axes = [[dict.fromkeys(keys, x) for x in v[name]] if v[name]
+            else [{k: v[k] for k in keys}] for name, keys in SWEEP_AXES.items()]
+    points = []
+    for combo in itertools.product(*axes):
+        values = dict(v)
+        for part in combo:
+            values.update(part)
+        points.append((tuple(values[k] for k in SWEEP_COLUMNS), values))
+    return SWEEP_COLUMNS, points
 
 
-def _run_points(cfg, args, out_dir):
-    """Shared engine for `run`: scan the configured hold times."""
+def _cmd_scan(cfg, args, out_dir):
+    """The engine of `run` and `sweep`: one ground state per grid point,
+    prepared here, then every (grid point, hold time) job through one map."""
     t0 = time.time()
-    proto = cfg.protocol()
-    prep = prepare_initial(proto, cfg.params, tol=cfg.values["gs_tol"])
-    t_prep = time.time() - t0
-
-    payloads = []
-    for i, t_int in enumerate(proto.t_int):
-        snap = os.path.join(out_dir, f"snapshot_point{i}.txt") \
-            if args.snapshot else None
-        payloads.append((cfg.values, t_int, prep, snap,
-                         cfg.values["with_oracle"]))
+    tag_columns, points = _grid_points(cfg, args.command)
+    tags, payloads, t_prep = [], [], 0.0
+    for tag, values in points:
+        point_cfg = RunConfig(values)
+        proto = point_cfg.protocol()
+        t1 = time.time()
+        prep = prepare_initial(proto, point_cfg.params, tol=values["gs_tol"])
+        t_prep += time.time() - t1
+        for t_int in proto.t_int:
+            snap = os.path.join(out_dir, f"snapshot_point{len(payloads)}.txt") \
+                if args.snapshot else None
+            tags.append(tag)
+            payloads.append((values, t_int, prep, snap))
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -135,71 +151,32 @@ def _run_points(cfg, args, out_dir):
     else:
         jobs_out = [_point_job(p) for p in payloads]
 
-    rows, notes, nfail = _rows_from_points(cfg, jobs_out)
+    rows, notes, nfail = [], [], 0
+    omega = cfg.params.omega
+    for tag, (point, oracle_e, dt_s) in zip(tags, jobs_out):
+        note = {**dict(zip(tag_columns, tag)), "t_int": point.t_int}
+        if point.error is not None:
+            nfail += 1
+            notes.append({**note, "status": "failed", "error": point.error,
+                          "seconds": dt_s})
+            continue
+        r = point.result
+        rows.append(tag + (point.t_total / omega, point.t_int / omega,
+                           r.e_epr, r.alpha, r.beta, r.spin_len_a,
+                           r.spin_len_b, r.overlap_a, r.overlap_b,
+                           r.inferred_var_1, r.inferred_var_2, oracle_e))
+        notes.append({**note, "status": "ok", "seconds": dt_s})
     _write_table(os.path.join(out_dir, "results." + args.format),
-                 CSV_COLUMNS, rows, args.format)
-    _manifest(os.path.join(out_dir, "manifest.json"), cfg, "run",
+                 tag_columns + CSV_COLUMNS, rows, args.format)
+    _manifest(os.path.join(out_dir, "manifest.json"), cfg, args.command,
               {"prepare": t_prep, "total": time.time() - t0}, notes)
     return 2 if nfail else 0
 
 
-def _cmd_run(cfg, args, out_dir):
-    return _run_points(cfg, args, out_dir)
-
-
-def _cmd_sweep(cfg, args, out_dir):
-    t0 = time.time()
-    ns = cfg.values["sweep_n"] or [cfg.values["n_a"]]
-    dzs = cfg.values["sweep_dz_max"] or [cfg.values["dz_max"]]
-    trs = cfg.values["sweep_t_ramp"] or [cfg.values["t_ramp"]]
-
-    combos = [(n, dz, tr) for n in ns for dz in dzs for tr in trs]
-    payloads = []
-    for n, dz, tr in combos:
-        values = dict(cfg.values)
-        values.update(n_a=n, n_b=n, dz_max=dz, t_ramp=tr)
-        for t_int in values["t_int"]:
-            payloads.append((values, t_int, None, None, values["with_oracle"]))
-
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            jobs_out = list(pool.map(_point_job, payloads))
-    else:
-        jobs_out = [_point_job(p) for p in payloads]
-
-    columns = ("n_a", "n_b", "dz_max", "t_ramp") + CSV_COLUMNS
-    rows, notes, nfail = [], [], 0
-    omega = cfg.params.omega
-    i = 0
-    for n, dz, tr in combos:
-        for _t in cfg.values["t_int"]:
-            point, oracle_e, dt_s = jobs_out[i]
-            i += 1
-            tag = {"n": n, "dz_max": dz, "t_ramp": tr, "t_int": point.t_int,
-                   "seconds": dt_s}
-            if point.error is not None:
-                nfail += 1
-                notes.append({**tag, "status": "failed", "error": point.error})
-                continue
-            r = point.result
-            rows.append((n, n, dz, tr, point.t_total / omega,
-                         point.t_int / omega, r.e_epr, r.alpha, r.beta,
-                         r.spin_len_a, r.spin_len_b, r.overlap_a, r.overlap_b,
-                         r.inferred_var_1, r.inferred_var_2, oracle_e))
-            notes.append({**tag, "status": "ok"})
-    _write_table(os.path.join(out_dir, "results." + args.format),
-                 columns, rows, args.format)
-    _manifest(os.path.join(out_dir, "manifest.json"), cfg, "sweep",
-              {"total": time.time() - t0}, notes)
-    return 2 if nfail else 0
-
-
 def _cmd_oracle(cfg, args, out_dir):
-    from .oracle4mode import (adiabatic_phases, evolve_exact, pulse_state,
-                              oracle_witness)
+    from .oracle4mode import evolve_exact, pulse_state, oracle_witness
     t0 = time.time()
     proto = cfg.protocol()
-    C = proto.pulse_amplitudes()
     rows, notes = [], []
     phis_ab = cfg.values["oracle_phi_ab"]
     if phis_ab is not None:
@@ -210,6 +187,7 @@ def _cmd_oracle(cfg, args, out_dir):
                 return [0.0] * n
             return v * n if len(v) == 1 else v
         n = len(phis_ab)
+        C = proto.pulse_amplitudes()
         phis_a = axis("oracle_phi_a", n)
         phis_b = axis("oracle_phi_b", n)
         columns = ("phi_a", "phi_b", "phi_ab", "oracle_E_EPR",
@@ -223,11 +201,7 @@ def _cmd_oracle(cfg, args, out_dir):
                    "oracle_E_EPR", "alpha_opt", "beta_opt")
         omega = cfg.params.omega
         for t_int in proto.t_int:
-            phis = adiabatic_phases(proto, t_int, params=cfg.params,
-                                    n_samples=cfg.values["oracle_samples"],
-                                    dn=cfg.values["oracle_dn"])
-            st = evolve_exact(pulse_state(proto.n_a, proto.n_b, C), *phis)
-            r = oracle_witness(st)
+            phis, r = _oracle_point(proto, t_int, cfg.params, cfg.values)
             rows.append(((2 * proto.t_ramp + t_int) / omega, t_int / omega,
                          *phis, r.e_epr, r.alpha, r.beta))
     _write_table(os.path.join(out_dir, "oracle." + args.format),
@@ -369,10 +343,8 @@ def main(argv=None):
         return 1
     os.makedirs(args.out, exist_ok=True)
     try:
-        if args.command == "run":
-            return _cmd_run(cfg, args, args.out)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, args, args.out)
+        if args.command in ("run", "sweep"):
+            return _cmd_scan(cfg, args, args.out)
         if args.command == "oracle":
             return _cmd_oracle(cfg, args, args.out)
         return _cmd_losses(cfg, args, args.out)

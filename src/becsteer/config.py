@@ -108,6 +108,10 @@ _SCHEMA = {
 
 _REQUIRED = ("n_a", "n_b", "dz_max", "t_ramp")
 
+# sweep key -> the protocol keys each of its values sets
+SWEEP_AXES = {"sweep_n": ("n_a", "n_b"), "sweep_dz_max": ("dz_max",),
+              "sweep_t_ramp": ("t_ramp",)}
+
 _DEFAULTS = {
     "omega": 2.0 * math.pi * 20.0,
     "a_00": 100.4, "a_11": 95.0, "a_01": 98.0,
@@ -276,6 +280,13 @@ def parse_config(text, overrides=()):
     except ValueError as exc:
         line = seen.get(_blame(str(exc)), "?")
         raise ConfigError(f"line {line}: {exc}") from None
+    for key, fields in SWEEP_AXES.items():
+        for v in values[key] or ():
+            try:
+                cfg.protocol(**dict.fromkeys(fields, v))
+            except ValueError as exc:
+                raise ConfigError(f"line {seen[key]}: {key} value {v!r}: "
+                                  f"{exc}") from None
     return cfg
 
 

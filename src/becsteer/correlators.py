@@ -426,9 +426,10 @@ def spin_moments(inp, evaluator=fock_sum_average, herm_tol=1e-6):
 # ---------------------------------------------------------------------------
 # quadratures and the steering witness
 
-def _quad_vectors(m):
-    """Orthonormal basis (S_yphi, S_z) per well in the 6-axis space, after
-    unrotating the mean spin to the x axis."""
+def _cov4(m):
+    """Covariance of (S_yphi^a, S_z^a, S_yphi^b, S_z^b): the orthonormal
+    basis per well in the 6-axis space, after unrotating the mean spin to
+    the x axis."""
     phi_a = m.phase("a")
     phi_b = m.phase("b")
     v = np.zeros((4, 6))
@@ -436,31 +437,31 @@ def _quad_vectors(m):
     v[1, 2] = 1.0                                          # S_z^a
     v[2, 3], v[2, 4] = -math.sin(phi_b), math.cos(phi_b)   # S_yphi^b
     v[3, 5] = 1.0                                          # S_z^b
-    return v
+    return v @ m.cov @ v.T
+
+
+def _quadratures(cov4, alpha, beta):
+    """(var_a, var_a90, var_b, var_b90, cov_ab, cov_ab90) of the quadratures
+    S_alpha^a, S_beta^b and their conjugates; angles broadcast together."""
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    cb, sb = np.cos(beta), np.sin(beta)
+    A, B, X = cov4[:2, :2], cov4[2:, 2:], cov4[:2, 2:]
+
+    def quad(u0, u1, M, v0, v1):
+        return (u0 * (M[0, 0] * v0 + M[0, 1] * v1)
+                + u1 * (M[1, 0] * v0 + M[1, 1] * v1))
+
+    return (quad(ca, sa, A, ca, sa), quad(-sa, ca, A, -sa, ca),
+            quad(cb, sb, B, cb, sb), quad(-sb, cb, B, -sb, cb),
+            quad(ca, sa, X, cb, sb), quad(-sa, ca, X, -sb, cb))
 
 
 def quadrature_moments(m, alpha, beta):
     """Variances and covariances of the quadratures S_alpha^a, S_beta^b and
     their conjugates (alpha, beta measured from S_yphi toward S_z)."""
-    v = _quad_vectors(m)
-    cov4 = v @ m.cov @ v.T
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    ua = np.array([ca, sa])
-    ua90 = np.array([-sa, ca])
-    ub = np.array([cb, sb])
-    ub90 = np.array([-sb, cb])
-    A = cov4[:2, :2]
-    B = cov4[2:, 2:]
-    X = cov4[:2, 2:]
-    return {
-        "var_a": float(ua @ A @ ua),
-        "var_a90": float(ua90 @ A @ ua90),
-        "var_b": float(ub @ B @ ub),
-        "var_b90": float(ub90 @ B @ ub90),
-        "cov_ab": float(ua @ X @ ub),
-        "cov_ab90": float(ua90 @ X @ ub90),
-    }
+    keys = ("var_a", "var_a90", "var_b", "var_b90", "cov_ab", "cov_ab90")
+    return {k: float(q) for k, q in
+            zip(keys, _quadratures(_cov4(m), alpha, beta))}
 
 
 @dataclass
@@ -481,20 +482,8 @@ class EPRResult:
 
 def _witness_sq(cov4, len_b, angles_a, angles_b):
     """Vectorized squared witness over angle arrays (broadcast together)."""
-    ca, sa = np.cos(angles_a), np.sin(angles_a)
-    cb, sb = np.cos(angles_b), np.sin(angles_b)
-    A, B, X = cov4[:2, :2], cov4[2:, 2:], cov4[:2, 2:]
-
-    def quad(u0, u1, M, v0, v1):
-        return (u0 * (M[0, 0] * v0 + M[0, 1] * v1)
-                + u1 * (M[1, 0] * v0 + M[1, 1] * v1))
-
-    var_a = quad(ca, sa, A, ca, sa)
-    var_a90 = quad(-sa, ca, A, -sa, ca)
-    var_b = quad(cb, sb, B, cb, sb)
-    var_b90 = quad(-sb, cb, B, -sb, cb)
-    cov_ab = quad(ca, sa, X, cb, sb)
-    cov_ab90 = quad(-sa, ca, X, -sb, cb)
+    var_a, var_a90, var_b, var_b90, cov_ab, cov_ab90 = \
+        _quadratures(cov4, angles_a, angles_b)
     num = 4.0 * (var_a * var_b - cov_ab ** 2) * (var_a90 * var_b90 - cov_ab90 ** 2)
     den = var_a * var_a90 * len_b ** 2
     return num / den
@@ -530,8 +519,7 @@ def epr_witness(m, angle_tol=1e-6, min_contrast=1e-6):
         raise WitnessUndefinedError(
             f"well-b contrast {2.0 * len_b / max(m.n_b, 1):.2e} below "
             f"{min_contrast:.0e}; witness denominator vanishes")
-    v = _quad_vectors(m)
-    cov4 = v @ m.cov @ v.T
+    cov4 = _cov4(m)
 
     grid = np.arange(0.0, math.pi, math.pi / 90.0)
     aa, bb = np.meshgrid(grid, grid, indexing="ij")
@@ -550,9 +538,10 @@ def epr_witness(m, angle_tol=1e-6, min_contrast=1e-6):
         half = max(10.0 * angle_tol, half * 0.25)
 
     e2 = float(_witness_sq(cov4, len_b, np.asarray(alpha), np.asarray(beta)))
-    q = quadrature_moments(m, alpha, beta)
-    inf1 = q["var_b"] - q["cov_ab"] ** 2 / q["var_a"]
-    inf2 = q["var_b90"] - q["cov_ab90"] ** 2 / q["var_a90"]
+    var_a, var_a90, var_b, var_b90, cov_ab, cov_ab90 = \
+        _quadratures(cov4, alpha, beta)
+    inf1 = float(var_b - cov_ab ** 2 / var_a)
+    inf2 = float(var_b90 - cov_ab90 ** 2 / var_a90)
     return EPRResult(
         e_epr=math.sqrt(max(e2, 0.0)),
         alpha=alpha % math.pi,

@@ -103,6 +103,14 @@ def test_numeric_overflow_reports_line(expr):
         parse_config(TINY + f"n_a = {expr}\n")
 
 
+@pytest.mark.parametrize("line", [
+    "sweep_n = 0, 20", "sweep_dz_max = 3, -1 a0", "sweep_t_ramp = -1 /omega"])
+def test_sweep_axis_validated_at_parse_time(line):
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"line 12: {key} value"):
+        parse_config(TINY + line + "\n")
+
+
 def test_set_overrides_win():
     cfg = parse_config(TINY, overrides=("n_a = 30",))
     assert cfg.values["n_a"] == 30
@@ -245,6 +253,55 @@ def test_cli_sweep(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "20"
     assert lines[2].split(",")[0] == "30"
+
+
+def test_cli_bad_sweep_axis_reports_set_line(tmp_path, capsys):
+    cfgp = write_tiny(tmp_path)
+    assert main(["sweep", "--config", cfgp, "--out", str(tmp_path / "bad"),
+                 "--set", "sweep_n = 0, 20"]) == 1
+    err = capsys.readouterr().err
+    assert "line --set #1: sweep_n value 0" in err and "fatal" not in err
+
+
+def test_cli_sweep_is_run_over_grid(tmp_path, monkeypatch):
+    # a sweep point is the run of its config: same ground-state tolerance,
+    # same snapshots, one ground state per grid point
+    import becsteer.cli
+    import becsteer.sequence
+    calls = []
+    original = becsteer.sequence.prepare_initial
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(becsteer.cli, "prepare_initial", counted)
+    monkeypatch.setattr(becsteer.sequence, "prepare_initial", counted)
+    cfgp = write_tiny(tmp_path, "gs_tol = 1e-3\n")
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", "--config", cfgp, "--out", str(run_out),
+                 "--snapshot"]) == 0
+    calls.clear()
+    assert main(["sweep", "--config", cfgp, "--out", str(sweep_out),
+                 "--snapshot", "--set", "sweep_n = 20"]) == 0
+    assert len(calls) == 1
+    run_lines = (run_out / "results.csv").read_text().splitlines()
+    sweep_lines = (sweep_out / "results.csv").read_text().splitlines()
+    assert [l.split(",", 4)[4] for l in sweep_lines] == run_lines
+    for i in (0, 1):
+        name = f"snapshot_point{i}.txt"
+        assert (sweep_out / name).read_bytes() == (run_out / name).read_bytes()
+    man = json.loads((sweep_out / "manifest.json").read_text())
+    assert set(man["timings_s"]) == {"prepare", "total"}
+
+
+def test_cli_sweep_unswept_axes_keep_config(tmp_path):
+    cfgp = write_tiny(tmp_path, "n_b = 24\nt_int = 0 /omega\n")
+    run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+    assert main(["run", "--config", cfgp, "--out", str(run_out)]) == 0
+    assert main(["sweep", "--config", cfgp, "--out", str(sweep_out)]) == 0
+    run_row = (run_out / "results.csv").read_text().splitlines()[1]
+    sweep_row = (sweep_out / "results.csv").read_text().splitlines()[1]
+    assert sweep_row == "20,24,3,1.5," + run_row
 
 
 def test_cli_check(capsys):

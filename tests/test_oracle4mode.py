@@ -70,6 +70,32 @@ def test_moments_match_dense_matrix_exponential():
     assert np.abs(m1.second - m2.second).max() < 1e-12
 
 
+def spin_matrices(n):
+    """Dense (Sx, Sy, Sz) of spin j = n/2 in the basis m = -j..j, with the
+    oracle's sign convention S+ = Sx + i Sy raising m."""
+    j = n / 2.0
+    m = np.arange(-j, j + 0.5)
+    s_plus = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
+    return ((s_plus + s_plus.T) / 2, (s_plus - s_plus.T) / 2j, np.diag(m))
+
+
+def test_moments_match_kronecker_spin_matrices():
+    # unequal wells, a generic state: both wells against dense operators
+    n_a, n_b = 5, 3
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=(n_a + 1, n_b + 1)) + 1j * rng.normal(size=(n_a + 1, n_b + 1))
+    st = FourModeState(c=c / np.linalg.norm(c), n_a=n_a, n_b=n_b)
+    ops = [np.kron(s, np.eye(n_b + 1)) for s in spin_matrices(n_a)]
+    ops += [np.kron(np.eye(n_a + 1), s) for s in spin_matrices(n_b)]
+    psi = st.c.ravel()
+    mean = np.array([np.vdot(psi, o @ psi).real for o in ops])
+    second = np.array([[np.vdot(psi, (oi @ oj + oj @ oi) @ psi).real / 2
+                        for oj in ops] for oi in ops])
+    m = oracle_moments(st)
+    assert np.abs(m.mean - mean).max() < 1e-12
+    assert np.abs(m.second - second).max() < 1e-12
+
+
 def test_casimir_conserved():
     st0 = pulse_state(14, 10, C_HALF)
     st1 = evolve_exact(st0, 0.4, 0.1, 0.25)
