@@ -13,11 +13,17 @@ parentheses, ``pi``) and an optional unit suffix, e.g.::
 Times given in seconds are converted to oscillator units with the configured
 omega; ``a0`` denotes the oscillator length.  A list takes one unit: a
 trailing unit applies to every value, and differing units are an error.
-Unknown keys, malformed values and constraint violations raise ConfigError
-with the offending line number.
+
+Protocol and physics keys are the fields of ProtocolConfig and PhysicalParams:
+their defaults and range checks are those of the dataclasses.  The keys no
+dataclass owns (`gs_tol`, `t_loss`, `with_oracle`, `oracle_*`, `sweep_*`)
+have their defaults and checks here.  Every value is range-checked when the
+config is read, so unknown keys, malformed values and out-of-range values
+raise ConfigError with the line that set the offending key.
 """
 
 import ast
+import dataclasses
 import math
 import operator
 
@@ -92,7 +98,6 @@ _SCHEMA = {
     "dz": ("length", ("a0",), False),
     "z_margin": ("length", ("a0",), False),
     "dt": ("time", ("s", "/omega"), False),
-    "sample_stride": ("int", None, False),
     "gs_tol": ("plain", None, False),
     "t_loss": ("time", ("s", "/omega"), False),
     "with_oracle": ("bool", None, False),
@@ -106,27 +111,27 @@ _SCHEMA = {
     "sweep_n": ("int", None, True),
 }
 
-_REQUIRED = ("n_a", "n_b", "dz_max", "t_ramp")
-
 # sweep key -> the protocol keys each of its values sets
 SWEEP_AXES = {"sweep_n": ("n_a", "n_b"), "sweep_dz_max": ("dz_max",),
               "sweep_t_ramp": ("t_ramp",)}
 
+# defaults of the keys no dataclass owns
 _DEFAULTS = {
-    "omega": 2.0 * math.pi * 20.0,
-    "a_00": 100.4, "a_11": 95.0, "a_01": 98.0,
-    "kappa_11": 81e-21, "kappa_01": 15e-21, "kappa_000": 5.4e-42,
-    "tau_1": math.inf,
-    "t_int": [(0.0, None)],
-    "pulse_phase_a": 0.0, "pulse_phase_b": 0.0,
-    "move_mode": "mirror", "beta": 1, "window_sigmas": 8.0,
-    "n_r": 28, "dr": 1.0 / 7.0, "dz": 1.0 / 7.0, "z_margin": 4.5,
-    "dt": None, "sample_stride": 0, "gs_tol": 1e-8,
-    "t_loss": (0.2, "s"),
+    "gs_tol": 1e-8, "t_loss": (0.2, "s"),
     "with_oracle": False, "oracle_samples": 9, "oracle_dn": None,
     "oracle_phi_a": None, "oracle_phi_b": None, "oracle_phi_ab": None,
     "sweep_dz_max": None, "sweep_t_ramp": None, "sweep_n": None,
 }
+
+
+def _keys_of(cls):
+    return [f for f in dataclasses.fields(cls) if f.name in _SCHEMA]
+
+
+_PHYSICS = _keys_of(PhysicalParams)
+_PROTOCOL = _keys_of(ProtocolConfig)
+# a field without a default is a required key
+_REQUIRED = [f.name for f in _PROTOCOL if f.default is dataclasses.MISSING]
 
 
 class RunConfig:
@@ -137,18 +142,10 @@ class RunConfig:
 
     def __init__(self, values):
         self.values = values          # normalized key -> value map
-        self.params = PhysicalParams(
-            omega=values["omega"],
-            a_00=values["a_00"], a_11=values["a_11"], a_01=values["a_01"],
-            kappa_11=values["kappa_11"], kappa_01=values["kappa_01"],
-            kappa_000=values["kappa_000"], tau_1=values["tau_1"],
-        )
+        self.params = PhysicalParams(**{f.name: values[f.name] for f in _PHYSICS})
 
     def protocol(self, **overrides):
-        keys = ("n_a", "n_b", "dz_max", "t_ramp", "t_int", "pulse_phase_a",
-                "pulse_phase_b", "move_mode", "beta", "window_sigmas",
-                "n_r", "dr", "dz", "z_margin", "dt", "sample_stride")
-        kw = {k: self.values[k] for k in keys}
+        kw = {f.name: self.values[f.name] for f in _PROTOCOL}
         kw["t_int"] = tuple(kw["t_int"])
         kw.update(overrides)
         return ProtocolConfig(**kw)
@@ -191,24 +188,29 @@ def _parse_value(key, raw, lineno):
         parts = tok.rsplit(None, 1)
         if len(parts) == 2 and units and parts[1] in units:
             return parts[0], parts[1]
-        if len(parts) == 2 and not parts[1][0].isdigit() \
-                and parts[1][0] not in "+-.(":
-            raise ConfigError(
-                f"line {lineno}: key {key!r} got unit {parts[1]!r}, "
-                f"expected one of {units or ()}")
         return tok, None
 
     def one(tok, unit):
         try:
             val = _eval_number(tok)
         except ValueError as exc:
+            # only a value the grammar cannot read has a wrong unit: its
+            # last word is not a number
+            parts = tok.rsplit(None, 1)
+            if len(parts) == 2 and not parts[1][0].isdigit() \
+                    and parts[1][0] not in "+-.(":
+                raise ConfigError(
+                    f"line {lineno}: key {key!r} got unit {parts[1]!r}, "
+                    f"expected one of {units or ()}") from None
             raise ConfigError(f"line {lineno}: {exc}") from None
+        if not math.isfinite(val):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
         if kind == "int":
-            if not math.isfinite(val) or abs(val - round(val)) > 1e-9:
+            if abs(val - round(val)) > 1e-9:
                 raise ConfigError(f"line {lineno}: key {key!r} must be an "
                                   f"integer, got {val!r}")
             return int(round(val))
-        if kind in ("time", "t_loss"):
+        if kind == "time":
             return (val, unit)        # resolved later against omega
         return val
 
@@ -228,7 +230,10 @@ def _parse_value(key, raw, lineno):
 
 def parse_config(text, overrides=()):
     """Parse config text (plus `--set key=value` overrides) into a RunConfig."""
-    values = dict(_DEFAULTS)
+    # required fields get no entry here: the check below catches them unset
+    values = {f.name: f.default for f in _PHYSICS + _PROTOCOL
+              if f.default is not dataclasses.MISSING}
+    values.update(_DEFAULTS)
     seen = {}
     lines = list(enumerate(text.splitlines(), start=1))
     lines += [(f"--set #{i + 1}", ov) for i, ov in enumerate(overrides)]
@@ -274,11 +279,12 @@ def parse_config(text, overrides=()):
         val, unit = tl
         values["t_loss"] = val if unit == "s" else val / omega
 
-    cfg = RunConfig(values)
     try:
-        cfg.protocol()                 # run the protocol validators
-    except ValueError as exc:
-        line = seen.get(_blame(str(exc)), "?")
+        cfg = RunConfig(values)        # the dataclasses' range checks
+        cfg.protocol()
+        _check_cli_keys(values)
+    except ValueError as exc:          # each message starts with its key
+        line = seen.get(str(exc).partition(" ")[0], "?")
         raise ConfigError(f"line {line}: {exc}") from None
     for key, fields in SWEEP_AXES.items():
         for v in values[key] or ():
@@ -290,13 +296,21 @@ def parse_config(text, overrides=()):
     return cfg
 
 
-def _blame(msg):
-    for key in ("dz_max", "t_ramp", "t_int", "move_mode", "n_a", "n_b"):
-        if key in msg or key.replace("_", " ") in msg:
-            return key
-    if "atom numbers" in msg:
-        return "n_a"
-    return ""
+def _check_cli_keys(v):
+    """Range checks of the keys no dataclass owns."""
+    n = len(v["oracle_phi_ab"] or ())
+    checks = (
+        ("gs_tol", v["gs_tol"] > 0, "must be positive"),
+        ("t_loss", v["t_loss"] >= 0, "must be non-negative"),
+        ("oracle_samples", v["oracle_samples"] >= 2, "must be at least 2"),
+        ("oracle_dn", v["oracle_dn"] is None or v["oracle_dn"] >= 1,
+         "must be at least 1"),
+    ) + tuple((key, not n or v[key] is None or len(v[key]) in (1, n),
+               f"needs 1 or {n} values, one per oracle_phi_ab")
+              for key in ("oracle_phi_a", "oracle_phi_b"))
+    for key, ok, need in checks:
+        if not ok:
+            raise ValueError(f"{key} {need}, got {v[key]!r}")
 
 
 def load_config(path, overrides=()):

@@ -374,7 +374,6 @@ class SpinMoments:
     second: np.ndarray        # (6, 6) real, <{S_i S_j}/2>
     n_a: int
     n_b: int
-    t: float = 0.0
 
     @property
     def cov(self):
@@ -475,7 +474,6 @@ class EPRResult:
     contrast_b: float
     inferred_var_1: float
     inferred_var_2: float
-    t: float = 0.0
     overlap_a: float = float("nan")
     overlap_b: float = float("nan")
 
@@ -552,5 +550,4 @@ def epr_witness(m, angle_tol=1e-6, min_contrast=1e-6):
         contrast_b=m.contrast("b"),
         inferred_var_1=inf1,
         inferred_var_2=inf2,
-        t=m.t,
     )

@@ -135,14 +135,6 @@ class TrajectorySet:
                          * np.exp(-1j * raw_mean))
         return local + self._mean_phase[idx, a]
 
-    def displaced_overlap(self, a, p_a, p_b, grads=None):
-        """<phi_a(N + Delta)|phi_a(N)> in modulus-phase form."""
-        if grads is None:
-            grads = self.phase_gradients()
-        dens = np.abs(self.psi[self.CENTER, a]) ** 2
-        phase = p_a * grads[a, 0] + p_b * grads[a, 1]
-        return complex(integrate(self.grid, dens * np.exp(-1j * phase)))
-
     def density_overlap(self, well):
         """Normalized overlap of the 0 and 1 densities of one well (in [0,1])."""
         base = 0 if well == "a" else 2

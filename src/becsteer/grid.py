@@ -10,6 +10,9 @@ units hbar = m = omega = 1 throughout.
 import numpy as np
 
 
+MIN_POINTS = 8                 # fewest grid points along r and along z
+
+
 class GridError(ValueError):
     pass
 
@@ -22,8 +25,8 @@ class CylGrid:
     """
 
     def __init__(self, n_r, n_z, dr, dz, z_min):
-        if n_r < 8 or n_z < 8:
-            raise GridError(f"grid counts must be >= 8, got n_r={n_r}, n_z={n_z}")
+        if n_r < MIN_POINTS or n_z < MIN_POINTS:
+            raise GridError(f"grid counts must be >= {MIN_POINTS}, got n_r={n_r}, n_z={n_z}")
         if dr <= 0 or dz <= 0:
             raise GridError(f"grid steps must be positive, got dr={dr}, dz={dz}")
         self.n_r = int(n_r)
@@ -52,9 +55,6 @@ class CylGrid:
     @property
     def volume(self):
         return np.pi * (self.n_r * self.dr) ** 2 * (self.n_z * self.dz)
-
-    def zeros(self, *lead, dtype=complex):
-        return np.zeros(lead + self.shape, dtype=dtype)
 
     def radial_tridiag(self):
         """(sub, diag, sup) of the radial part of the Laplacian."""

@@ -34,7 +34,11 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class PhysicalParams:
-    """Trap, atom and interaction constants (SI in, oscillator units out)."""
+    """Trap, atom and interaction constants (SI in, oscillator units out).
+
+    Its defaults and range checks are the config file's; each check's message
+    starts with the field name.
+    """
 
     omega: float = 2.0 * math.pi * 20.0     # rad/s
     mass: float = MASS_RB87                 # kg
@@ -47,10 +51,14 @@ class PhysicalParams:
     tau_1: float = math.inf                 # s, one-body lifetime
 
     def __post_init__(self):
-        if min(self.a_00, self.a_11, self.a_01) < 0:
-            raise ValueError("scattering lengths must be non-negative")
-        if self.omega <= 0 or self.mass <= 0:
-            raise ValueError("omega and mass must be positive")
+        for name in ("omega", "mass", "tau_1"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("a_00", "a_11", "a_01", "kappa_11", "kappa_01", "kappa_000"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, "
+                                 f"got {getattr(self, name)!r}")
 
     @property
     def a_ho(self):
@@ -73,13 +81,6 @@ class PhysicalParams:
             for j, sj in enumerate(COMPONENT_STATE):
                 out[i, j] = gs[si, sj]
         return out
-
-    def seconds(self, t_osc):
-        """Convert a time in 1/omega units to seconds."""
-        return t_osc / self.omega
-
-    def osc_time(self, t_s):
-        return t_s * self.omega
 
 
 class FockVector(NamedTuple):
@@ -114,13 +115,6 @@ class ComponentState:
     fock: FockVector
     t: float = 0.0
     mu: np.ndarray = field(default=None)  # set by ground_state
-
-    def copy(self):
-        return ComponentState(self.grid, self.psi.copy(), self.fock, self.t,
-                              None if self.mu is None else self.mu.copy())
-
-    def norms(self):
-        return np.sqrt(np.real(inner(self.grid, self.psi, self.psi)))
 
 
 def _cayley_pair(sub, diag, sup, tau):

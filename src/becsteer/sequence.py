@@ -8,11 +8,11 @@ collective-spin moments and the steering witness are evaluated.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import build_grid
+from .grid import MIN_POINTS, build_grid
 from .meanfield import PhysicalParams, ground_state, stable_dt
 from .fockflow import init_trajectories
 from .correlators import spin_moments, epr_witness
@@ -22,7 +22,11 @@ SQ2 = math.sqrt(2.0)
 
 @dataclass
 class ProtocolConfig:
-    """All knobs of one protocol run (lengths in oscillator units)."""
+    """All knobs of one protocol run (lengths in oscillator units).
+
+    Its defaults and range checks are the config file's; each check's message
+    starts with the field name, so the config reader can blame its line.
+    """
 
     n_a: int
     n_b: int
@@ -41,20 +45,29 @@ class ProtocolConfig:
     z_margin: float = 4.5
     # time stepping; None picks the stability-rule step at prep time
     dt: float = None
-    sample_stride: int = 0        # if > 0, evaluate the witness every so many steps
     snapshot_path: str = None
 
     def __post_init__(self):
-        if self.n_a <= 0 or self.n_b <= 0:
-            raise ValueError("atom numbers must be positive")
-        if self.dz_max <= 0:
-            raise ValueError("dz_max must be positive")
-        if self.t_ramp <= 0:
-            raise ValueError("t_ramp must be positive")
-        if any(t < 0 for t in self.t_int):
-            raise ValueError("t_int values must be non-negative")
-        if self.move_mode not in ("mirror", "single"):
-            raise ValueError(f"unknown move_mode {self.move_mode!r}")
+        checks = (
+            ("n_a", self.n_a > 0, "must be positive"),
+            ("n_b", self.n_b > 0, "must be positive"),
+            ("dz_max", self.dz_max > 0, "must be positive"),
+            ("t_ramp", self.t_ramp > 0, "must be positive"),
+            ("t_int", all(t >= 0 for t in self.t_int),
+             "values must be non-negative"),
+            ("move_mode", self.move_mode in ("mirror", "single"),
+             "must be 'mirror' or 'single'"),
+            ("beta", self.beta >= 1, "must be at least 1"),
+            ("window_sigmas", self.window_sigmas > 0, "must be positive"),
+            ("n_r", self.n_r >= MIN_POINTS, f"must be at least {MIN_POINTS}"),
+            ("dr", self.dr > 0, "must be positive"),
+            ("dz", self.dz > 0, "must be positive"),
+            ("z_margin", self.z_margin >= 0, "must be non-negative"),
+            ("dt", self.dt is None or self.dt > 0, "must be positive"),
+        )
+        for name, ok, need in checks:
+            if not ok:
+                raise ValueError(f"{name} {need}, got {getattr(self, name)!r}")
 
     def build_grid(self):
         z_hi = self.dz_max / 2.0 + self.z_margin
@@ -140,21 +153,8 @@ class PointResult:
     t_total: float
     result: object = None         # EPRResult, None on failure
     moments: object = None        # SpinMoments
-    separation_start: float = float("nan")
     separation_end: float = float("nan")
     error: str = None
-    series: list = dc_field(default_factory=list)  # (t, EPRResult) samples
-
-
-def _measure(traj, C, cfg, t_int):
-    inp = traj.correlator_inputs(C, window_sigmas=cfg.window_sigmas)
-    m = spin_moments(inp)
-    m.t = traj.t
-    res = epr_witness(m)
-    res.t = traj.t
-    res.overlap_a = traj.density_overlap("a")
-    res.overlap_b = traj.density_overlap("b")
-    return m, res
 
 
 def run_point(cfg, t_int, params=None, prep=None):
@@ -162,7 +162,6 @@ def run_point(cfg, t_int, params=None, prep=None):
     if prep is None:
         prep = prepare_initial(cfg, params)
     grid, g4, psi0, _ = prep
-    C = cfg.pulse_amplitudes()
     traj = init_trajectories(grid, g4, cfg.n_a, cfg.n_b, psi0, beta=cfg.beta)
 
     t_total = 2.0 * cfg.t_ramp + t_int
@@ -177,17 +176,14 @@ def run_point(cfg, t_int, params=None, prep=None):
     def pots(t):
         return component_potentials(grid, cfg, t, t_int)
 
-    point = PointResult(t_int=t_int, t_total=t_total,
-                        separation_start=well_separation(grid, psi0))
-    for step in range(n_steps):
+    for _ in range(n_steps):
         traj.advance(pots, dt)
-        if cfg.sample_stride and (step + 1) % cfg.sample_stride == 0 \
-                and step + 1 < n_steps:
-            _, res = _measure(traj, C, cfg, t_int)
-            point.series.append((traj.t, res))
-    m, res = _measure(traj, C, cfg, t_int)
-    point.moments = m
-    point.result = res
+    inp = traj.correlator_inputs(cfg.pulse_amplitudes(),
+                                 window_sigmas=cfg.window_sigmas)
+    point = PointResult(t_int=t_int, t_total=t_total, moments=spin_moments(inp))
+    point.result = epr_witness(point.moments)
+    point.result.overlap_a = traj.density_overlap("a")
+    point.result.overlap_b = traj.density_overlap("b")
     point.separation_end = well_separation(grid, traj.psi[traj.CENTER])
     if cfg.snapshot_path:
         from .meanfield import save_snapshot

@@ -53,9 +53,11 @@ def test_seconds_converted_with_omega():
 
 
 def test_expressions_and_pi():
-    cfg = parse_config(TINY + "omega = 2*pi*10 Hz\npulse_phase_a = pi/2\n")
+    cfg = parse_config(TINY + "omega = 2*pi*10 Hz\npulse_phase_a = pi/2\n"
+                       "pulse_phase_b = 2 * pi\n")
     assert cfg.values["omega"] == pytest.approx(20 * math.pi)
     assert cfg.values["pulse_phase_a"] == pytest.approx(math.pi / 2)
+    assert cfg.values["pulse_phase_b"] == pytest.approx(2 * math.pi)
 
 
 def test_unknown_key_reports_line():
@@ -155,6 +157,24 @@ def test_cli_bad_config_is_fatal(tmp_path, capsys):
     p.write_text("n_a = 10\nwhat = 3\n")
     assert main(["run", "--config", str(p), "--out", str(tmp_path)]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    "dt = -0.05 /omega", "oracle_samples = 1", "oracle_dn = 0",
+    "oracle_phi_ab = 0, 0.01, 0.02\noracle_phi_a = 0, 0.1", "gs_tol = 0",
+    "beta = 0", "window_sigmas = 0", "n_r = 3", "dr = 0 a0", "n_b = 0",
+    "a_00 = -1 bohr"], ids=lambda extra: extra.splitlines()[-1])
+def test_cli_bad_value_reports_its_line(tmp_path, capsys, extra):
+    # the offending key opens the config's last line; nothing runs
+    lines = (TINY + extra).splitlines()
+    key = lines[-1].split()[0]
+    command = "oracle" if key.startswith("oracle") else "run"
+    out = tmp_path / "out"
+    assert main([command, "--config", write_tiny(tmp_path, extra + "\n"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"becsteer: line {len(lines)}: {key} ")
+    assert not out.exists()
 
 
 def test_cli_failed_point_gives_exit_2(tmp_path):

@@ -6,6 +6,8 @@ from becsteer.meanfield import PhysicalParams, ground_state
 from becsteer.fockflow import (DisplacementError, central_fock,
                                init_trajectories)
 
+C = np.ones(4) / np.sqrt(2.0)         # pulse amplitudes for correlator_inputs
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -75,7 +77,8 @@ def test_gradients_zero_initially(setup):
     traj = init_trajectories(grid, g4, 40, 40, psi0)
     g = traj.phase_gradients()
     assert np.abs(g).max() < 1e-12
-    assert traj.displaced_overlap(0, 1, 0) == pytest.approx(1.0, abs=1e-12)
+    ov = traj.correlator_inputs(C).displaced_overlap(0, 1, 0)
+    assert ov == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gradients_grow_and_overlap_shrinks(setup):
@@ -84,11 +87,11 @@ def test_gradients_grow_and_overlap_shrinks(setup):
     for _ in range(50):
         traj.advance(lambda t: pots, 0.01)
     g1 = traj.phase_gradients()
-    ov1 = abs(traj.displaced_overlap(0, 1, 0))
+    ov1 = abs(traj.correlator_inputs(C).displaced_overlap(0, 1, 0))
     for _ in range(50):
         traj.advance(lambda t: pots, 0.01)
     g2 = traj.phase_gradients()
-    ov2 = abs(traj.displaced_overlap(0, 1, 0))
+    ov2 = abs(traj.correlator_inputs(C).displaced_overlap(0, 1, 0))
     dens = np.abs(traj.psi[traj.CENTER, 0]) ** 2
     sel = dens > 1e-4 * dens.max()
     assert np.abs(g2[0, 0][sel]).max() > np.abs(g1[0, 0][sel]).max()

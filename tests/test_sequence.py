@@ -121,15 +121,6 @@ def test_run_point_end_to_end():
     assert point.separation_end < 0.3
 
 
-def test_run_point_sampling(prep):
-    cfg, pr = prep
-    cfg2 = tiny_cfg(sample_stride=20)
-    point = run_point(cfg2, 0.5, params=PhysicalParams(), prep=pr)
-    assert len(point.series) >= 2
-    ts = [t for t, _ in point.series]
-    assert all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))
-
-
 def test_run_protocol_isolates_failed_points(prep, monkeypatch):
     cfg, pr = prep
     import becsteer.sequence as seq
