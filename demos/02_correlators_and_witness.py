@@ -1,6 +1,6 @@
 """Collective-spin moments and the steering witness from the multi-Fock sum.
 
-Builds the nine displaced Fock-configuration trajectories for a pair of
+Builds the five displaced Fock-configuration trajectories for a pair of
 interacting wells, lets them dephase for a short while, then evaluates the
 spin moments two ways — the fast windowed Fock sum and the brute-force
 splitting sum — and optimizes the two-angle steering witness.

@@ -1,9 +1,9 @@
-"""Batch evolution of the nine displaced Fock configurations.
+"""Batch evolution of the five displaced Fock configurations.
 
 The entangling information lives in the derivatives of the wavefunction
 phases with respect to the within-well population transfer, and in the slowly
-accumulating reduced phase Theta.  Both are extracted here from the nine
-configurations (d_a, d_b) in {-beta, 0, +beta}^2 around the central one.
+accumulating reduced phase Theta.  Both are extracted here from the central
+configuration and its axis neighbours (d_a, d_b) = (+-beta, 0), (0, +-beta).
 
 The reduced-phase rate is linear in the displacement vector, so Theta is
 tracked as a 4-vector of per-mode coefficients; antisymmetry under reversal
@@ -12,7 +12,7 @@ of the displacement is then exact by construction.
 
 import numpy as np
 
-from .grid import integrate
+from .grid import integrate, normalized_overlap
 from .meanfield import FockVector, SplitStepEvolver
 
 DENSITY_FLOOR = 1e-8
@@ -27,13 +27,12 @@ def _wrap(x):
 
 
 class TrajectorySet:
-    """Nine Fock configurations, their 36 wavefunctions, and the phase data."""
+    """Five Fock configurations, their 20 wavefunctions, and the phase data."""
 
-    # configuration order: index = 3*ia + ib over displacements (-b, 0, +b)
-    OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
-               (1, -1), (1, 0), (1, 1)]
-    CENTER = 4
-    AXIS = {("a", +1): 7, ("a", -1): 1, ("b", +1): 5, ("b", -1): 3}
+    # (d_a, d_b) in units of beta: the centre, then a+, a-, b+, b-
+    OFFSETS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    CENTER = 0
+    AXIS = {("a", +1): 1, ("a", -1): 2, ("b", +1): 3, ("b", -1): 4}
 
     def __init__(self, grid, g4, nbar, beta, psi0):
         self.grid = grid
@@ -45,15 +44,16 @@ class TrajectorySet:
         self.ns = np.array([f.as_array() for f in self.focks])
         if np.any(self.ns < 0):
             raise DisplacementError("displaced configuration has negative occupation")
-        self.psi = np.broadcast_to(psi0, (9, 4) + grid.shape).astype(complex).copy()
+        shape = (len(self.OFFSETS), 4)
+        self.psi = np.broadcast_to(psi0, shape + grid.shape).astype(complex).copy()
         self.t = 0.0
         # Theta(Delta) = Delta . theta_coeff ; exactly zero at t = 0
         self.theta_coeff = np.zeros(4)
         self._theta_rate_prev = self._theta_rate()
         # continuous density-weighted mean phase of each axis configuration
         # relative to the central one (per component), for 2pi unwrapping
-        self._mean_phase = np.zeros((9, 4))
-        self._raw_prev = np.zeros((9, 4))
+        self._mean_phase = np.zeros(shape)
+        self._raw_prev = np.zeros(shape)
         self._evolver = None
         self._evolver_dt = None
 
@@ -71,23 +71,18 @@ class TrajectorySet:
                     rate[ap] -= 0.5 * self.g4[a, ap] * pair[a, ap]
         return rate
 
-    def _axis_indices(self):
-        return [self.AXIS[("a", +1)], self.AXIS[("a", -1)],
-                self.AXIS[("b", +1)], self.AXIS[("b", -1)]]
-
     def _update_mean_phases(self):
-        center = self.psi[self.CENTER]
-        for idx in self._axis_indices():
-            ov = np.sum(self.grid.weights * np.conj(center) * self.psi[idx],
-                        axis=(-2, -1))
-            raw = np.angle(ov)
-            self._mean_phase[idx] += _wrap(raw - self._raw_prev[idx])
-            self._raw_prev[idx] = raw
+        # the axis configurations are the ones after the centre
+        ov = np.sum(self.grid.weights * np.conj(self.psi[self.CENTER])
+                    * self.psi[1:], axis=(-2, -1))
+        raw = np.angle(ov)
+        self._mean_phase[1:] += _wrap(raw - self._raw_prev[1:])
+        self._raw_prev[1:] = raw
 
     # -- public operations ---------------------------------------------------
 
     def advance(self, potentials, dt, check_norms=True):
-        """One time step of all nine configurations plus the Theta quadrature.
+        """One time step of all five configurations plus the Theta quadrature.
 
         potentials is a callable t -> (4, n_r, n_z) stack.
         """
@@ -119,31 +114,21 @@ class TrajectorySet:
         center = self.psi[self.CENTER]
         dens = np.abs(center) ** 2
         mask = dens >= DENSITY_FLOOR * dens.max(axis=(-2, -1), keepdims=True)
-        grads = np.zeros((4, 2) + self.grid.shape)
-        for d, well in enumerate("ab"):
-            ip = self.AXIS[(well, +1)]
-            im = self.AXIS[(well, -1)]
-            for a in range(4):
-                dp = self._unwrapped_phase(ip, a, center)
-                dm = self._unwrapped_phase(im, a, center)
-                grads[a, d] = np.where(mask[a], (dp - dm) / (2.0 * self.beta), 0.0)
-        return grads
-
-    def _unwrapped_phase(self, idx, a, center):
-        raw_mean = self._raw_prev[idx, a]
-        local = np.angle(self.psi[idx, a] * np.conj(center[a])
-                         * np.exp(-1j * raw_mean))
-        return local + self._mean_phase[idx, a]
+        # phase of each configuration relative to the central one, unwrapped
+        # by its continuous mean phase
+        phase = (np.angle(self.psi * np.conj(center)
+                          * np.exp(-1j * self._raw_prev)[..., None, None])
+                 + self._mean_phase[..., None, None])
+        plus = [self.AXIS[(well, +1)] for well in "ab"]
+        minus = [self.AXIS[(well, -1)] for well in "ab"]
+        grads = (phase[plus] - phase[minus]) / (2.0 * self.beta)
+        return np.where(mask, grads, 0.0).swapaxes(0, 1)
 
     def density_overlap(self, well):
         """Normalized overlap of the 0 and 1 densities of one well (in [0,1])."""
         base = 0 if well == "a" else 2
-        d0 = np.abs(self.psi[self.CENTER, base]) ** 2
-        d1 = np.abs(self.psi[self.CENTER, base + 1]) ** 2
-        num = np.real(integrate(self.grid, d0 * d1))
-        den = np.sqrt(np.real(integrate(self.grid, d0 ** 2))
-                      * np.real(integrate(self.grid, d1 ** 2)))
-        return num / den
+        d0, d1 = np.abs(self.psi[self.CENTER, base:base + 2]) ** 2
+        return normalized_overlap(self.grid, d0, d1)
 
     def correlator_inputs(self, C, window_sigmas=8.0, window=None):
         """Snapshot of everything the correlator evaluation needs."""
@@ -169,7 +154,7 @@ def central_fock(n_a, n_b):
 
 
 def init_trajectories(grid, g4, n_a, n_b, psi0, beta=1):
-    """Build the nine-configuration set right after the pulse.
+    """Build the five-configuration set right after the pulse.
 
     psi0 is the (4, n_r, n_z) stack of prepared wavefunctions; components 0
     and 1 of each well must hold the same per-well spatial wavefunction (the

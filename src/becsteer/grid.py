@@ -91,6 +91,12 @@ def integrate(grid, f):
     return np.sum(grid.weights * f, axis=(-2, -1))
 
 
+def normalized_overlap(grid, d0, d1):
+    """Overlap of two densities, int d0 d1 / sqrt(int d0^2 int d1^2), in [0, 1]."""
+    num = integrate(grid, d0 * d1)
+    return num / np.sqrt(integrate(grid, d0 ** 2) * integrate(grid, d1 ** 2))
+
+
 def inner(grid, f, g):
     """Weighted inner product <f|g> on the grid."""
     return np.sum(grid.weights * np.conj(f) * g, axis=(-2, -1))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MIN_POINTS, build_grid
+from .grid import MIN_POINTS, build_grid, normalized_overlap
 from .meanfield import PhysicalParams, ground_state, stable_dt
 from .fockflow import init_trajectories
 from .correlators import spin_moments, epr_witness
@@ -63,18 +63,27 @@ class ProtocolConfig:
             ("dr", self.dr > 0, "must be positive"),
             ("dz", self.dz > 0, "must be positive"),
             ("z_margin", self.z_margin >= 0, "must be non-negative"),
+            ("dz", self.dz <= 0 or self._z_axis()[1] >= MIN_POINTS,
+             f"must give at least {MIN_POINTS} points along z"),
             ("dt", self.dt is None or self.dt > 0, "must be positive"),
         )
         for name, ok, need in checks:
             if not ok:
                 raise ValueError(f"{name} {need}, got {getattr(self, name)!r}")
 
-    def build_grid(self):
+    def _z_axis(self):
+        """(z_lo, n_z): both wells, the transport and a margin on each side."""
         z_hi = self.dz_max / 2.0 + self.z_margin
         if self.move_mode == "mirror":
             z_hi += self.dz_max
         z_lo = -self.dz_max / 2.0 - self.z_margin
-        n_z = int(math.ceil((z_hi - z_lo) / self.dz))
+        n_z = (z_hi - z_lo) / self.dz
+        if n_z == math.inf:
+            raise ValueError(f"dz too small, got {self.dz!r}")
+        return z_lo, int(math.ceil(n_z))
+
+    def build_grid(self):
+        z_lo, n_z = self._z_axis()
         return build_grid(self.n_r, n_z, self.dr, self.dz, z_lo)
 
     def pulse_amplitudes(self):
@@ -119,12 +128,7 @@ def component_potentials(grid, cfg, t, t_int):
 
 def well_separation(grid, psi):
     """Normalized density overlap between the two wells (a0 vs b0 clouds)."""
-    d_a = np.abs(psi[0]) ** 2
-    d_b = np.abs(psi[2]) ** 2
-    num = np.real(np.sum(grid.weights * d_a * d_b))
-    den = math.sqrt(np.real(np.sum(grid.weights * d_a ** 2))
-                    * np.real(np.sum(grid.weights * d_b ** 2)))
-    return num / den
+    return normalized_overlap(grid, np.abs(psi[0]) ** 2, np.abs(psi[2]) ** 2)
 
 
 def prepare_initial(cfg, params=None, grid=None, tol=1e-8):
@@ -168,8 +172,7 @@ def run_point(cfg, t_int, params=None, prep=None):
     dt = cfg.dt
     if dt is None:
         pots0 = component_potentials(grid, cfg, 0.0, t_int)
-        dt = stable_dt(grid, g4, pots0, psi0,
-                       np.array([f.as_array() for f in traj.focks]).max(axis=0))
+        dt = stable_dt(grid, g4, pots0, psi0, traj.ns.max(axis=0))
     n_steps = max(1, int(math.ceil(t_total / dt)))
     dt = t_total / n_steps
 

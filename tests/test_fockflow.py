@@ -36,13 +36,18 @@ def test_beta_validation(setup):
     init_trajectories(grid, g4, 40, 40, psi0, beta=2)
 
 
-def test_nine_configurations(setup):
+def test_five_configurations(setup):
+    # the centre and its four axis neighbours; no configuration is displaced
+    # in both wells
     grid, g4, pots, psi0 = setup
     traj = init_trajectories(grid, g4, 40, 40, psi0, beta=2)
-    assert traj.psi.shape == (9, 4) + grid.shape
+    assert traj.psi.shape == (5, 4) + grid.shape
     occ = [tuple(f) for f in traj.focks]
+    assert not any(o[0] != 20 and o[2] != 20 for o in occ)
     assert occ[traj.CENTER] == (20, 20, 20, 20)
     assert occ[traj.AXIS[("a", +1)]] == (22, 18, 20, 20)
+    assert occ[traj.AXIS[("a", -1)]] == (18, 22, 20, 20)
+    assert occ[traj.AXIS[("b", +1)]] == (20, 20, 22, 18)
     assert occ[traj.AXIS[("b", -1)]] == (20, 20, 18, 22)
 
 
