@@ -10,9 +10,12 @@ parentheses, ``pi``) and an optional unit suffix, e.g.::
     t_int    = 0, 0.05, 0.1 s
     a_00     = 100.4 bohr
 
-Times given in seconds are converted to oscillator units with the configured
-omega; ``a0`` denotes the oscillator length.  A list takes one unit: a
-trailing unit applies to every value, and differing units are an error.
+``omega`` is the trap's angular frequency: ``Hz`` and ``rad/s`` are both read
+as rad/s, so ``2*pi*20 Hz`` is a 20 Hz trap and ``omega = 20 Hz`` is 20 rad/s
+(about 3.2 Hz).  Times given in seconds are converted to oscillator units with
+the configured omega; ``a0`` denotes the oscillator length.  A list takes one
+unit: a trailing unit applies to every value, and differing units are an
+error.
 
 Protocol and physics keys are the fields of ProtocolConfig and PhysicalParams:
 their defaults and range checks are those of the dataclasses.  The keys no

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import becsteer
 from becsteer.cli import main
 from becsteer.config import ConfigError, load_config, parse_config
 
@@ -323,6 +326,22 @@ def test_cli_sweep_unswept_axes_keep_config(tmp_path):
     run_row = (run_out / "results.csv").read_text().splitlines()[1]
     sweep_row = (sweep_out / "results.csv").read_text().splitlines()[1]
     assert sweep_row == "20,24,3,1.5," + run_row
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # every command pays for what importing the CLI loads; older SciPy loads
+    # scipy.sparse from scipy.special itself, so count only what becsteer adds
+    code = ("import sys, scipy.special\n"
+            "def sparse(): return {m for m in sys.modules"
+            " if m.startswith('scipy.sparse')}\n"
+            "before = sparse()\n"
+            "import becsteer.cli\n"
+            "print(sorted(sparse() - before))")
+    src = os.path.dirname(os.path.dirname(becsteer.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_check(capsys):

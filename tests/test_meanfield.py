@@ -177,3 +177,23 @@ def test_chemical_potential_self_interaction_floor(grid, par):
         expect.append(np.real(np.sum(grid.weights * np.conj(psi[a]) * h_psi)))
     mu = chemical_potential(grid, psi, ns, pots, g4)
     assert mu == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("imaginary", [False, True])
+def test_split_step_kinetic_is_grid_laplacian(grid, imaginary):
+    # with no potential and no interactions one step is exp(-h H) with
+    # H = -Laplacian/2, so (psi - step(psi))/h -> H psi at first order in dt;
+    # the ground-state polish and energy_fields use the same stencil
+    r, z = grid.r[:, None], grid.z[None, :]
+    f = np.exp(-0.5 * r ** 2 - 0.4 * (z - 0.3) ** 2 + 0.7j * z) * (1 + 0.3 * r ** 2)
+    psi = f[None].repeat(4, axis=0)
+    zero_v = np.zeros((4,) + grid.shape)
+    h_psi = -0.5 * grid.laplacian(psi)
+    errs = []
+    for dt in (2e-3, 1e-3):
+        ev = SplitStepEvolver(grid, np.zeros((4, 4)), dt, imaginary=imaginary)
+        h = dt if imaginary else 1j * dt
+        got = (psi - ev.step(psi, np.zeros(4), zero_v, zero_v)) / h
+        errs.append(np.abs(got - h_psi).max() / np.abs(h_psi).max())
+    assert errs[1] < 2.0 * 1e-3
+    assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.05)
