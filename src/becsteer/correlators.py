@@ -156,6 +156,13 @@ class CorrelatorInputs:
                     exp(i (k_a[ia] Xt_a(x) + k_b[ib] Xt_b(x)))
         with B = prod conj(phibar)^gs phibar^ds,
         Xt_s = sum_a (ds_a - gs_a) grad[a, s], Ybar_s = sum_a gs_a grad[a, s].
+
+        A density-like slot (gs == ds) has Xt = 0, so every entry is the one
+        number sum_x w B exp(i m . Ybar): it is returned as a zero-stride
+        read-only view of that number.  Otherwise the rows exp(i k Xt) come
+        from one exp per field and the recurrence
+        e^{i(k+1)Xt} = e^{ikXt} e^{iXt} outward from k = 0, negative k being
+        the conjugates; J is then one matrix product.
         """
         key = (gs, ds, m_a, m_b, ks_a[0], ks_a[-1], ks_b[0], ks_b[-1])
         hit = self._cache.get(key)
@@ -170,13 +177,29 @@ class CorrelatorInputs:
         ybar_a = sum(gs[a] * self.grad[a, 0] for a in range(4))
         ybar_b = sum(gs[a] * self.grad[a, 1] for a in range(4))
         base *= np.exp(1j * (m_a * ybar_a + m_b * ybar_b))
-        xt_a = sum((ds[a] - gs[a]) * self.grad[a, 0] for a in range(4))
-        xt_b = sum((ds[a] - gs[a]) * self.grad[a, 1] for a in range(4))
-        ea = np.exp(1j * np.multiply.outer(ks_a.astype(float), xt_a))
-        eb = np.exp(1j * np.multiply.outer(ks_b.astype(float), xt_b))
-        table = (ea * base) @ eb.T
+        if gs == ds:
+            table = np.broadcast_to(base.sum(), (ks_a.size, ks_b.size))
+        else:
+            xt_a = sum((ds[a] - gs[a]) * self.grad[a, 0] for a in range(4))
+            xt_b = sum((ds[a] - gs[a]) * self.grad[a, 1] for a in range(4))
+            ea = _phase_rows(ks_a, xt_a)
+            ea *= base
+            table = ea @ _phase_rows(ks_b, xt_b).T
         self._cache[key] = table
         return table
+
+
+def _phase_rows(ks, xt):
+    """exp(i k xt) for the consecutive integers ks, shape (ks.size, xt.size),
+    by a running product outward from k = 0."""
+    n = max(-ks[0], ks[-1])
+    rows = np.empty((n + 1, xt.size), complex)
+    rows[0] = 1.0
+    np.cumprod(np.broadcast_to(np.exp(1j * xt), (n, xt.size)), axis=0,
+               out=rows[1:])
+    rows = rows[np.abs(ks)]
+    np.conjugate(rows, out=rows, where=ks[:, None] < 0)
+    return rows
 
 
 def fock_sum_average(inp, idx):

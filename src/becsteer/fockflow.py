@@ -153,6 +153,12 @@ def central_fock(n_a, n_b):
     return FockVector((n_a + 1) // 2, n_a // 2, (n_b + 1) // 2, n_b // 2)
 
 
+def max_beta(n_a, n_b):
+    """Largest transfer step beta of the axis configurations: a tenth of the
+    smallest central occupation."""
+    return min(central_fock(n_a, n_b)) / 10.0
+
+
 def init_trajectories(grid, g4, n_a, n_b, psi0, beta=1):
     """Build the five-configuration set right after the pulse.
 
@@ -163,9 +169,9 @@ def init_trajectories(grid, g4, n_a, n_b, psi0, beta=1):
     nbar = central_fock(n_a, n_b)
     if beta < 1 or int(beta) != beta:
         raise DisplacementError("beta must be a positive integer")
-    nmin = min(nbar)
-    if beta > nmin / 10.0:
+    limit = max_beta(n_a, n_b)
+    if beta > limit:
         raise DisplacementError(
             f"beta={beta} too large for central occupations {tuple(nbar)} "
-            f"(require beta <= {nmin / 10.0:g})")
+            f"(require beta <= {limit:g})")
     return TrajectorySet(grid, g4, nbar, beta, psi0)

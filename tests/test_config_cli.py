@@ -109,7 +109,8 @@ def test_numeric_overflow_reports_line(expr):
 
 
 @pytest.mark.parametrize("line", [
-    "sweep_n = 0, 20", "sweep_dz_max = 3, -1 a0", "sweep_t_ramp = -1 /omega"])
+    "sweep_n = 0, 20", "sweep_n = 20, 10", "sweep_dz_max = 3, -1 a0",
+    "sweep_t_ramp = -1 /omega"])
 def test_sweep_axis_validated_at_parse_time(line):
     key = line.split()[0]
     with pytest.raises(ConfigError, match=f"line 12: {key} value"):
@@ -165,8 +166,8 @@ def test_cli_bad_config_is_fatal(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [
     "dt = -0.05 /omega", "oracle_samples = 1", "oracle_dn = 0",
     "oracle_phi_ab = 0, 0.01, 0.02\noracle_phi_a = 0, 0.1", "gs_tol = 0",
-    "beta = 0", "window_sigmas = 0", "n_r = 3", "dr = 0 a0", "dz = 2 a0",
-    "dz = 1e-320 a0", "n_b = 0", "a_00 = -1 bohr"],
+    "beta = 0", "beta = 2", "window_sigmas = 0", "n_r = 3", "dr = 0 a0",
+    "dz = 2 a0", "dz = 1e-320 a0", "n_b = 0", "a_00 = -1 bohr"],
     ids=lambda extra: extra.splitlines()[-1])
 def test_cli_bad_value_reports_its_line(tmp_path, capsys, extra):
     # the offending key opens the config's last line; nothing runs

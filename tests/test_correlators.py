@@ -85,6 +85,64 @@ def test_fast_path_matches_brute_force_odd_wells_complex_pulse():
     assert np.abs(m_fast.second - m_ref.second).max() < 1e-9 * m_ref.n_a ** 2
 
 
+def production_inputs():
+    """N = 4000 per well (window 507 per well) on smooth random fields,
+    scaled so that the largest |k Xt| of the a0^dag a1 and b1^dag b0 slots,
+    over both wells, is 400 rad (fig3 at N = 4000 reaches 373 rad)."""
+    rng = np.random.default_rng(0)
+    m = 2000
+    x = np.linspace(-1.0, 1.0, m)
+    phibar = np.empty((4, m), complex)
+    for a in range(4):
+        c = rng.normal(size=3)
+        phibar[a] = np.exp(-x ** 2 + 1j * (c[0] * x + c[1] * x ** 2 + c[2]))
+    grad = np.empty((4, 2, m))
+    for a in range(4):
+        for s in range(2):
+            c = rng.normal(size=4)
+            grad[a, s] = sum(cj * np.cos((j + 1) * x + cj)
+                             for j, cj in enumerate(c))
+    inp = CorrelatorInputs(weights=np.full(m, 2.0 / m), phibar=phibar,
+                           grad=grad, theta_u=np.array([0.01, -0.02]),
+                           nbar=central_fock(4000, 4000),
+                           C=np.full(4, 1.0 / math.sqrt(2.0)))
+    xt = np.stack([grad[1] - grad[0], grad[2] - grad[3]])
+    inp.grad *= 400.0 / (inp.window[0] * np.abs(xt).max())
+    return inp
+
+
+def direct_slot_table(inp, gs, ds, m_a, m_b, ks_a, ks_b):
+    """The _slot_table docstring formula with one exp per entry."""
+    base = inp.weights.astype(complex)
+    for a in range(4):
+        base = base * np.conj(inp.phibar[a]) ** gs[a] * inp.phibar[a] ** ds[a]
+    ybar = np.tensordot(gs, inp.grad, axes=1)
+    xt = np.tensordot(np.subtract(ds, gs), inp.grad, axes=1)
+    base = base * np.exp(1j * (m_a * ybar[0] + m_b * ybar[1]))
+    ea = np.exp(1j * np.multiply.outer(ks_a, xt[0]))
+    eb = np.exp(1j * np.multiply.outer(ks_b, xt[1]))
+    return (ea * base) @ eb.T
+
+
+@pytest.mark.parametrize("gs,ds,m_a,m_b", [
+    ((1, 0, 0, 0), (0, 1, 0, 0), 1, 0),
+    ((0, 0, 0, 1), (0, 0, 1, 0), 0, -1),
+    ((0, 1, 0, 0), (0, 1, 0, 0), -1, 1),
+    ((0, 0, 1, 0), (0, 0, 1, 0), 0, 1)])
+def test_slot_table_at_production_size(gs, ds, m_a, m_b):
+    inp = production_inputs()
+    w = inp.window[0]
+    assert 2 * w + 1 == 507
+    # the a window clipped on one side
+    ks_a, ks_b = np.arange(-w + 3, w + 1), np.arange(-w, w + 1)
+    table = inp._slot_table(gs, ds, m_a, m_b, ks_a, ks_b)
+    ref = direct_slot_table(inp, gs, ds, m_a, m_b, ks_a, ks_b)
+    assert table.shape == ref.shape
+    assert np.abs(table - ref).max() <= 1e-12 * np.abs(ref).max()
+    if gs == ds:
+        assert table.strides == (0, 0)
+
+
 def coherent_inputs(n_a, n_b):
     """Identical orbitals, zero gradients and theta: coherent spin states."""
     inp = synthetic_inputs(n_a, n_b, grad_scale=0.0, theta=(0.0, 0.0))
