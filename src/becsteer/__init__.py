@@ -24,8 +24,8 @@ from .correlators import (CorrelatorInputs, EPRResult, MultiIndex,
 from .sequence import (PointResult, ProtocolConfig, component_potentials,
                        prepare_initial, ramp_displacement, run_point,
                        run_protocol, well_separation)
-from .oracle4mode import (FourModeState, adiabatic_phases, evolve_exact,
+from .oracle4mode import (FourModeState, adiabatic_rates, evolve_exact,
                           extract_chi, oracle_moments, oracle_witness,
-                          pulse_state)
+                          pulse_state, twisting_phases)
 from .losses import LossBudget, loss_estimate
 from .config import ConfigError, RunConfig, load_config, parse_config

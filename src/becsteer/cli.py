@@ -13,11 +13,13 @@ sweep_n x sweep_dz_max x sweep_t_ramp (an unset axis keeps the config's
 value).  Each grid point gets one ground state, solved to `gs_tol` before
 any point runs; every (grid point, hold time) pair is then one point, and
 `--snapshot` writes snapshot_point{i}.txt over all points in row order.
+With `with_oracle` each grid point's chi rates are computed here too, once for
+all its hold times: the twisting phases are affine in the hold time.
 
 Results are written as a CSV (12 significant digits, fixed column order, so
 identical configs give byte-identical files regardless of worker count) plus
 a JSON manifest echoing the resolved config, versions, per-point notes and
-timings (`prepare` sums the ground-state solves).
+timings (`prepare` sums the ground-state solves, `oracle` the chi rates).
 Exit codes: 0 success, 2 at least one scan point failed, 1 fatal error.
 """
 
@@ -32,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracle4mode
 from .config import (ConfigError, RunConfig, load_config, CONFIG_VERSION,
                      SWEEP_AXES)
 from .losses import loss_estimate
@@ -81,29 +83,22 @@ def _manifest(path, cfg, command, timings, points):
         fh.write("\n")
 
 
-def _oracle_point(proto, t_int, params, values):
-    """Twisting phases and four-mode witness of one hold time, from the
-    adiabatic chi rates; oracle4mode is looked up at call time."""
-    from . import oracle4mode
-    phis = oracle4mode.adiabatic_phases(proto, t_int, params=params,
-                                        n_samples=values["oracle_samples"],
-                                        dn=values["oracle_dn"])
-    st = oracle4mode.evolve_exact(oracle4mode.pulse_state(
-        proto.n_a, proto.n_b, proto.pulse_amplitudes()), *phis)
-    return phis, oracle4mode.oracle_witness(st)
-
-
 def _point_job(payload):
     """One protocol point, run in a worker process."""
-    values, t_int, prep, snapshot_path = payload
+    values, t_int, prep, rates, snapshot_path = payload
     cfg = RunConfig(values)
     proto = cfg.protocol(snapshot_path=snapshot_path)
     t0 = time.time()
     oracle_e = float("nan")
     try:
+        if isinstance(rates, Exception):
+            raise rates
         point = run_point(proto, t_int, params=cfg.params, prep=prep)
-        if values["with_oracle"]:
-            oracle_e = _oracle_point(proto, t_int, cfg.params, values)[1].e_epr
+        if rates is not None:
+            st = oracle4mode.evolve_exact(oracle4mode.pulse_state(
+                proto.n_a, proto.n_b, proto.pulse_amplitudes()),
+                *oracle4mode.twisting_phases(*rates, t_int))
+            oracle_e = oracle4mode.oracle_witness(st).e_epr
     except Exception as exc:  # noqa: BLE001 - per-point fault isolation
         point = PointResult(t_int=t_int, t_total=2.0 * proto.t_ramp + t_int,
                             error=f"{type(exc).__name__}: {exc}")
@@ -128,22 +123,32 @@ def _grid_points(cfg, command):
 
 
 def _cmd_scan(cfg, args, out_dir):
-    """The engine of `run` and `sweep`: one ground state per grid point,
-    prepared here, then every (grid point, hold time) job through one map."""
+    """`run` and `sweep`: each grid point's ground state (and chi rates) is
+    prepared here, then every (grid point, hold time) job runs in one map."""
     t0 = time.time()
     tag_columns, points = _grid_points(cfg, args.command)
-    tags, payloads, t_prep = [], [], 0.0
+    tags, payloads, t_prep, t_oracle = [], [], 0.0, 0.0
     for tag, values in points:
         point_cfg = RunConfig(values)
         proto = point_cfg.protocol()
         t1 = time.time()
         prep = prepare_initial(proto, point_cfg.params, tol=values["gs_tol"])
         t_prep += time.time() - t1
+        rates = None
+        if values["with_oracle"]:
+            t1 = time.time()
+            try:
+                rates = oracle4mode.adiabatic_rates(
+                    proto, point_cfg.params, values["oracle_samples"],
+                    values["oracle_dn"])
+            except Exception as exc:  # noqa: BLE001 - its point jobs raise it
+                rates = exc
+            t_oracle += time.time() - t1
         for t_int in proto.t_int:
             snap = os.path.join(out_dir, f"snapshot_point{len(payloads)}.txt") \
                 if args.snapshot else None
             tags.append(tag)
-            payloads.append((values, t_int, prep, snap))
+            payloads.append((values, t_int, prep, rates, snap))
 
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -168,16 +173,17 @@ def _cmd_scan(cfg, args, out_dir):
         notes.append({**note, "status": "ok", "seconds": dt_s})
     _write_table(os.path.join(out_dir, "results." + args.format),
                  tag_columns + CSV_COLUMNS, rows, args.format)
+    timings = {"prepare": t_prep, "total": time.time() - t0}
+    if cfg.values["with_oracle"]:
+        timings["oracle"] = t_oracle
     _manifest(os.path.join(out_dir, "manifest.json"), cfg, args.command,
-              {"prepare": t_prep, "total": time.time() - t0}, notes)
+              timings, notes)
     return 2 if nfail else 0
 
 
 def _cmd_oracle(cfg, args, out_dir):
-    from .oracle4mode import evolve_exact, pulse_state, oracle_witness
     t0 = time.time()
     proto = cfg.protocol()
-    rows, notes = [], []
     phis_ab = cfg.values["oracle_phi_ab"]
     if phis_ab is not None:
         # direct mode: twisting phases given, no spatial solve
@@ -187,27 +193,28 @@ def _cmd_oracle(cfg, args, out_dir):
                 return [0.0] * n
             return v * n if len(v) == 1 else v
         n = len(phis_ab)
-        C = proto.pulse_amplitudes()
-        phis_a = axis("oracle_phi_a", n)
-        phis_b = axis("oracle_phi_b", n)
-        columns = ("phi_a", "phi_b", "phi_ab", "oracle_E_EPR",
-                   "alpha_opt", "beta_opt")
-        for pa, pb, pab in zip(phis_a, phis_b, phis_ab):
-            st = evolve_exact(pulse_state(proto.n_a, proto.n_b, C), pa, pb, pab)
-            r = oracle_witness(st)
-            rows.append((pa, pb, pab, r.e_epr, r.alpha, r.beta))
-    else:
-        columns = ("t_total_s", "t_int_s", "phi_a", "phi_b", "phi_ab",
-                   "oracle_E_EPR", "alpha_opt", "beta_opt")
-        omega = cfg.params.omega
-        for t_int in proto.t_int:
-            phis, r = _oracle_point(proto, t_int, cfg.params, cfg.values)
-            rows.append(((2 * proto.t_ramp + t_int) / omega, t_int / omega,
-                         *phis, r.e_epr, r.alpha, r.beta))
+        phis = zip(axis("oracle_phi_a", n), axis("oracle_phi_b", n), phis_ab)
+        tags, columns = [()] * n, ()
+    else:  # spatial mode: one ramp's chi rates serve every hold time
+        rates = oracle4mode.adiabatic_rates(proto, cfg.params,
+                                            cfg.values["oracle_samples"],
+                                            cfg.values["oracle_dn"])
+        phis = [oracle4mode.twisting_phases(*rates, t) for t in proto.t_int]
+        tags = [((2 * proto.t_ramp + t) / cfg.params.omega,
+                 t / cfg.params.omega) for t in proto.t_int]
+        columns = ("t_total_s", "t_int_s")
+    rows = []
+    for tag, ph in zip(tags, phis):
+        # st outlives its row: freed sooner, oracle_direct ran ~6 % slower
+        st = oracle4mode.evolve_exact(oracle4mode.pulse_state(
+            proto.n_a, proto.n_b, proto.pulse_amplitudes()), *ph)
+        r = oracle4mode.oracle_witness(st)
+        rows.append(tag + tuple(ph) + (r.e_epr, r.alpha, r.beta))
     _write_table(os.path.join(out_dir, "oracle." + args.format),
-                 columns, rows, args.format)
+                 columns + ("phi_a", "phi_b", "phi_ab", "oracle_E_EPR",
+                            "alpha_opt", "beta_opt"), rows, args.format)
     _manifest(os.path.join(out_dir, "manifest.json"), cfg, "oracle",
-              {"total": time.time() - t0}, notes)
+              {"total": time.time() - t0}, [])
     return 0
 
 
@@ -337,7 +344,8 @@ def main(argv=None):
         return _cmd_check(args)
 
     try:
-        cfg = load_config(args.config, overrides=args.set)
+        cfg = load_config(args.config, overrides=args.set,
+                          trajectories=args.command in ("run", "sweep"))
     except (OSError, ConfigError) as exc:
         print(f"becsteer: {exc}", file=sys.stderr)
         return 1

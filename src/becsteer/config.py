@@ -30,6 +30,7 @@ import dataclasses
 import math
 import operator
 
+from .fockflow import max_beta
 from .meanfield import PhysicalParams
 from .sequence import ProtocolConfig
 
@@ -231,8 +232,12 @@ def _parse_value(key, raw, lineno):
     return one(*split_unit(raw))
 
 
-def parse_config(text, overrides=()):
-    """Parse config text (plus `--set key=value` overrides) into a RunConfig."""
+def parse_config(text, overrides=(), trajectories=True):
+    """Parse config text (plus `--set key=value` overrides) into a RunConfig.
+
+    `trajectories` also checks what only building Fock trajectories needs
+    (`run` and `sweep`): the bound on beta.
+    """
     # required fields get no entry here: the check below catches them unset
     values = {f.name: f.default for f in _PHYSICS + _PROTOCOL
               if f.default is not dataclasses.MISSING}
@@ -296,7 +301,27 @@ def parse_config(text, overrides=()):
             except ValueError as exc:
                 raise ConfigError(f"line {seen[key]}: {key} value {v!r}: "
                                   f"{exc}") from None
+    if trajectories:
+        _check_beta(values, seen)
     return cfg
+
+
+def _check_beta(v, seen):
+    """beta against a tenth of the smallest central occupation, at the
+    config's (n_a, n_b) and at each sweep_n value.  The error blames beta's
+    line if beta was set, else the line of the occupation that is too small."""
+    small = "n_a" if v["n_a"] <= v["n_b"] else "n_b"
+    pairs = [(v["n_a"], v["n_b"], small, v[small])]
+    pairs += [(n, n, "sweep_n", n) for n in v["sweep_n"] or ()]
+    for n_a, n_b, key, value in pairs:
+        limit = max_beta(n_a, n_b)
+        if v["beta"] > limit:
+            if "beta" in seen:
+                key, value = "beta", v["beta"]
+            raise ConfigError(
+                f"line {seen[key]}: {key} value {value!r}: beta must be at "
+                f"most {limit:g}, a tenth of the smallest central occupation "
+                f"at n_a = {n_a}, n_b = {n_b}")
 
 
 def _check_cli_keys(v):
@@ -316,6 +341,7 @@ def _check_cli_keys(v):
             raise ValueError(f"{key} {need}, got {v[key]!r}")
 
 
-def load_config(path, overrides=()):
+def load_config(path, overrides=(), trajectories=True):
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides=overrides)
+        return parse_config(fh.read(), overrides=overrides,
+                            trajectories=trajectories)

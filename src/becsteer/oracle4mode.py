@@ -157,12 +157,12 @@ def extract_chi(grid, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
     return chi_a, chi_b, chi_ab, center
 
 
-def adiabatic_phases(cfg, t_int, params=None, n_samples=9, dn=None, tol=1e-8):
-    """Integrals of the chi coefficients over one full protocol point.
+def adiabatic_rates(cfg, params=None, n_samples=9, dn=None, tol=1e-8):
+    """(ramp integral, hold rate) of the chi coefficients, each (a, b, ab).
 
-    Samples chi along the transport schedule (instantaneous ground states,
-    warm-started from neighbouring samples), holds it constant during the
-    interaction phase, and integrates with the trapezoidal rule.
+    Samples chi along one transport ramp (instantaneous ground states,
+    warm-started from neighbouring samples) and integrates it with the
+    trapezoidal rule; the hold keeps the end rate (see `twisting_phases`).
     """
     from .meanfield import PhysicalParams
     from .sequence import component_potentials
@@ -178,16 +178,16 @@ def adiabatic_phases(cfg, t_int, params=None, n_samples=9, dn=None, tol=1e-8):
     chis = []
     psi0 = None
     for t in ts:
-        pots = component_potentials(grid, cfg, t, t_int)
+        pots = component_potentials(grid, cfg, t, 0.0)
         ca, cb, cab, center = extract_chi(grid, pots, ns, g4, dn=dn, tol=tol,
                                           psi0=psi0)
         psi0 = center.psi
         chis.append((ca, cb, cab))
     chis = np.array(chis)
-    # np.trapezoid since NumPy 2.0; np.trapz (removed in 2.4) before it
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    ramp = trapezoid(chis, ts, axis=0)
-    hold = chis[-1] * t_int
-    total = 2.0 * ramp + hold
-    return tuple(total)
+    ramp = (np.diff(ts)[:, None] * (chis[1:] + chis[:-1]) / 2.0).sum(axis=0)
+    return ramp, chis[-1]
 
+
+def twisting_phases(ramp, rate, t_int):
+    """(phi_a, phi_b, phi_ab) of hold time t_int: both ramps plus the hold."""
+    return tuple(2.0 * ramp + rate * t_int)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .grid import MIN_POINTS, build_grid, normalized_overlap
 from .meanfield import PhysicalParams, ground_state, stable_dt
-from .fockflow import init_trajectories, max_beta
+from .fockflow import init_trajectories
 from .correlators import spin_moments, epr_witness
 
 SQ2 = math.sqrt(2.0)
@@ -48,7 +48,6 @@ class ProtocolConfig:
     snapshot_path: str = None
 
     def __post_init__(self):
-        beta_max = max_beta(self.n_a, self.n_b)
         checks = (
             ("n_a", self.n_a > 0, "must be positive"),
             ("n_b", self.n_b > 0, "must be positive"),
@@ -59,9 +58,6 @@ class ProtocolConfig:
             ("move_mode", self.move_mode in ("mirror", "single"),
              "must be 'mirror' or 'single'"),
             ("beta", self.beta >= 1, "must be at least 1"),
-            ("beta", self.beta <= beta_max,
-             f"must be at most {beta_max:g}, a tenth of the smallest central "
-             f"occupation at n_a = {self.n_a}, n_b = {self.n_b}"),
             ("window_sigmas", self.window_sigmas > 0, "must be positive"),
             ("n_r", self.n_r >= MIN_POINTS, f"must be at least {MIN_POINTS}"),
             ("dr", self.dr > 0, "must be positive"),

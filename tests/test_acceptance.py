@@ -127,7 +127,7 @@ def _frozen_mode_errors(n_per_well, t_int):
     instantaneous ground state; the remaining discrepancy is the
     modulus-phase method's intrinsic error, which shrinks with N.
     """
-    from becsteer.oracle4mode import adiabatic_phases
+    from becsteer.oracle4mode import adiabatic_rates, twisting_phases
     par = PhysicalParams()
     cfg = ProtocolConfig(n_a=n_per_well, n_b=n_per_well,
                          dz_max=3.0, t_ramp=30.0, t_int=(t_int,),
@@ -137,7 +137,7 @@ def _frozen_mode_errors(n_per_well, t_int):
     m = point.moments
     r = point.result
 
-    phis = adiabatic_phases(cfg, t_int, params=par)
+    phis = twisting_phases(*adiabatic_rates(cfg, params=par), t_int)
     st = evolve_exact(pulse_state(n_per_well, n_per_well, C_HALF), *phis)
     mo = oracle_moments(st)
     ro = oracle_witness(st)

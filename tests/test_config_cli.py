@@ -166,8 +166,8 @@ def test_cli_bad_config_is_fatal(tmp_path, capsys):
 @pytest.mark.parametrize("extra", [
     "dt = -0.05 /omega", "oracle_samples = 1", "oracle_dn = 0",
     "oracle_phi_ab = 0, 0.01, 0.02\noracle_phi_a = 0, 0.1", "gs_tol = 0",
-    "beta = 0", "beta = 2", "window_sigmas = 0", "n_r = 3", "dr = 0 a0",
-    "dz = 2 a0", "dz = 1e-320 a0", "n_b = 0", "a_00 = -1 bohr"],
+    "beta = 0", "beta = 2", "n_a = 10", "window_sigmas = 0", "n_r = 3",
+    "dr = 0 a0", "dz = 2 a0", "dz = 1e-320 a0", "n_b = 0", "a_00 = -1 bohr"],
     ids=lambda extra: extra.splitlines()[-1])
 def test_cli_bad_value_reports_its_line(tmp_path, capsys, extra):
     # the offending key opens the config's last line; nothing runs
@@ -243,6 +243,55 @@ def test_cli_run_with_oracle(tmp_path):
     cols = read_columns(out / "results.csv")
     assert len(cols["oracle_E_EPR"]) == 2
     assert all(math.isfinite(v) for v in cols["oracle_E_EPR"])
+    man = json.loads((out / "manifest.json").read_text())
+    assert set(man["timings_s"]) == {"prepare", "oracle", "total"}
+
+
+@pytest.mark.parametrize("command", ["oracle", "run"])
+def test_cli_chi_solves_independent_of_hold_times(tmp_path, monkeypatch,
+                                                  command):
+    # chi is sampled on the ramp only, once per grid point: 5 ground states
+    # per sample, however many hold times the config scans
+    import becsteer.oracle4mode
+    calls = []
+    original = becsteer.oracle4mode.ground_state
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(becsteer.oracle4mode, "ground_state", counted)
+    counts = []
+    for t_int in ("0", "0, 0.25, 0.5"):
+        calls.clear()
+        cfgp = write_tiny(tmp_path, "with_oracle = true\noracle_samples = 3\n"
+                          f"t_int = {t_int} /omega\n")
+        assert main([command, "--config", cfgp,
+                     "--out", str(tmp_path / f"out{len(counts)}")]) == 0
+        counts.append(len(calls))
+    assert counts == [15, 15]
+
+
+def test_cli_oracle_rows_independent_of_other_hold_times(tmp_path):
+    def rows(t_int):
+        cfgp = write_tiny(tmp_path, f"oracle_samples = 3\nt_int = {t_int}\n")
+        out = tmp_path / t_int.replace(" ", "").replace("/", "_")
+        assert main(["oracle", "--config", cfgp, "--out", str(out)]) == 0
+        return (out / "oracle.csv").read_bytes().splitlines()[1:]
+    singles = [row for t in ("0", "0.25", "0.5") for row in rows(f"{t} /omega")]
+    assert rows("0, 0.25, 0.5 /omega") == singles
+
+
+@pytest.mark.parametrize("extra", ["oracle_phi_ab = 0, 0.01\n",
+                                   "oracle_samples = 2\n"],
+                         ids=["direct", "spatial"])
+def test_cli_oracle_runs_below_the_beta_bound(tmp_path, extra):
+    # beta = 1 exceeds a tenth of the central occupation 5, but the oracle
+    # builds no Fock trajectories, so only run and sweep refuse it
+    cfgp = write_tiny(tmp_path, "n_a = 10\nn_b = 10\n" + extra)
+    out = tmp_path / "orc10"
+    assert main(["oracle", "--config", cfgp, "--out", str(out)]) == 0
+    assert len((out / "oracle.csv").read_text().splitlines()) > 2
+    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "r")]) == 1
 
 
 def test_cli_oracle_fault_marks_point_failed(tmp_path, monkeypatch):
@@ -250,7 +299,7 @@ def test_cli_oracle_fault_marks_point_failed(tmp_path, monkeypatch):
 
     def broken(*args, **kwargs):
         raise RuntimeError("oracle fault")
-    monkeypatch.setattr(becsteer.oracle4mode, "adiabatic_phases", broken)
+    monkeypatch.setattr(becsteer.oracle4mode, "adiabatic_rates", broken)
     cfgp = write_tiny(tmp_path, "with_oracle = true\n")
     out = tmp_path / "run_orc_fault"
     assert main(["run", "--config", cfgp, "--out", str(out)]) == 2

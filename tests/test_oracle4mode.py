@@ -5,9 +5,12 @@ import pytest
 
 from becsteer.grid import build_grid
 from becsteer.meanfield import PhysicalParams
-from becsteer.oracle4mode import (FourModeState, casimir, default_dn,
-                                  evolve_exact, extract_chi, oracle_moments,
-                                  oracle_witness, pulse_state)
+import becsteer.oracle4mode
+from becsteer.oracle4mode import (FourModeState, adiabatic_rates, casimir,
+                                  default_dn, evolve_exact, extract_chi,
+                                  oracle_moments, oracle_witness, pulse_state,
+                                  twisting_phases)
+from becsteer.sequence import ProtocolConfig, component_potentials
 
 C_HALF = np.ones(4) / math.sqrt(2.0)
 
@@ -177,3 +180,31 @@ def test_chi_uniform_box_closed_form():
     i4 = float(np.sum(grid.weights * dens ** 2))
     expected = (g4[0, 0] + g4[1, 1] - 2 * g4[0, 1]) * i4 / 2.0
     assert chi_a == pytest.approx(expected, rel=0.1)
+
+
+def test_adiabatic_rates_integrate_known_chi(monkeypatch):
+    # chi(t) = (1, t, t^2) at the samples t = 0, 1, 2: no ground state solved
+    cfg = ProtocolConfig(n_a=20, n_b=20, dz_max=3.0, t_ramp=2.0, n_r=8,
+                         dr=0.45, dz=0.45, z_margin=2.5)
+    grid = cfg.build_grid()
+    seen = []
+
+    class Center:
+        psi = None
+
+    def fake_chi(grid_, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
+        t = float(len(seen))
+        seen.append(potentials)
+        return 1.0, t, t * t, Center()
+    monkeypatch.setattr(becsteer.oracle4mode, "extract_chi", fake_chi)
+    ramp, rate = adiabatic_rates(cfg, n_samples=3)
+    # trapezoid on unit steps: 1 + 1, (0 + 1)/2 + (1 + 2)/2, (0 + 1)/2 + (1 + 4)/2
+    assert ramp.tolist() == [2.0, 2.0, 3.0]
+    assert rate.tolist() == [1.0, 2.0, 4.0]
+    # sampled on the forward ramp, where the hold time plays no part
+    for t, pots in zip((0.0, 1.0, 2.0), seen):
+        np.testing.assert_array_equal(pots,
+                                      component_potentials(grid, cfg, t, 0.0))
+    # the phases are affine in the hold time
+    assert twisting_phases(ramp, rate, 0.0) == (4.0, 4.0, 6.0)
+    assert twisting_phases(ramp, rate, 0.5) == (4.5, 5.0, 8.0)
