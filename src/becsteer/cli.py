@@ -24,6 +24,7 @@ Exit codes: 0 success, 2 at least one scan point failed, 1 fatal error.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -39,8 +40,8 @@ from .config import (ConfigError, RunConfig, load_config, CONFIG_VERSION,
                      SWEEP_AXES)
 from .losses import loss_estimate
 from .meanfield import ground_state
-from .sequence import (PointResult, component_potentials, run_point,
-                       prepare_initial)
+from .sequence import (HoldFork, component_potentials, failed_point,
+                       hold_forks, prepare_initial)
 
 CSV_COLUMNS = ("t_total_s", "t_int_s", "E_EPR", "alpha_opt", "beta_opt",
                "spin_len_a", "spin_len_b", "overlap_a", "overlap_b",
@@ -68,7 +69,7 @@ def _write_table(path, columns, rows, fmt):
                 fh.write(",".join(_sig(v) for v in row) + "\n")
 
 
-def _manifest(path, cfg, command, timings, points):
+def _manifest(path, cfg, command, timings, points, **extra):
     doc = {
         "tool": "becsteer",
         "version": __version__,
@@ -77,6 +78,7 @@ def _manifest(path, cfg, command, timings, points):
         "config_echo": cfg.echo(),
         "timings_s": timings,
         "points": points,
+        **extra,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -84,24 +86,21 @@ def _manifest(path, cfg, command, timings, points):
 
 
 def _point_job(payload):
-    """One protocol point, run in a worker process."""
-    values, t_int, prep, rates, snapshot_path = payload
-    cfg = RunConfig(values)
-    proto = cfg.protocol(snapshot_path=snapshot_path)
+    """One fork's backward ramp and measurement (and its oracle witness), run
+    in a worker process or, with one worker, in this one."""
+    fork, rates, snapshot_path = payload
     t0 = time.time()
     oracle_e = float("nan")
     try:
-        if isinstance(rates, Exception):
-            raise rates
-        point = run_point(proto, t_int, params=cfg.params, prep=prep)
+        point = fork.finish(snapshot_path)
         if rates is not None:
+            proto = fork.cfg
             st = oracle4mode.evolve_exact(oracle4mode.pulse_state(
                 proto.n_a, proto.n_b, proto.pulse_amplitudes()),
-                *oracle4mode.twisting_phases(*rates, t_int))
+                *oracle4mode.twisting_phases(*rates, fork.t_int))
             oracle_e = oracle4mode.oracle_witness(st).e_epr
     except Exception as exc:  # noqa: BLE001 - per-point fault isolation
-        point = PointResult(t_int=t_int, t_total=2.0 * proto.t_ramp + t_int,
-                            error=f"{type(exc).__name__}: {exc}")
+        point = failed_point(fork.cfg, fork.t_int, exc)
     return point, oracle_e, time.time() - t0
 
 
@@ -124,10 +123,12 @@ def _grid_points(cfg, command):
 
 def _cmd_scan(cfg, args, out_dir):
     """`run` and `sweep`: each grid point's ground state (and chi rates) is
-    prepared here, then every (grid point, hold time) job runs in one map."""
+    prepared here first.  Then each grid point's hold times run on shared
+    prefixes here, and each fork's rest is one job, sent to the pool as soon
+    as the fork is taken."""
     t0 = time.time()
     tag_columns, points = _grid_points(cfg, args.command)
-    tags, payloads, t_prep, t_oracle = [], [], 0.0, 0.0
+    prepared, t_prep, t_oracle = [], 0.0, 0.0
     for tag, values in points:
         point_cfg = RunConfig(values)
         proto = point_cfg.protocol()
@@ -141,24 +142,36 @@ def _cmd_scan(cfg, args, out_dir):
                 rates = oracle4mode.adiabatic_rates(
                     proto, point_cfg.params, values["oracle_samples"],
                     values["oracle_dn"])
-            except Exception as exc:  # noqa: BLE001 - its point jobs raise it
+            except Exception as exc:  # noqa: BLE001 - fails its points
                 rates = exc
             t_oracle += time.time() - t1
-        for t_int in proto.t_int:
-            snap = os.path.join(out_dir, f"snapshot_point{len(payloads)}.txt") \
-                if args.snapshot else None
-            tags.append(tag)
-            payloads.append((values, t_int, prep, rates, snap))
+        prepared.append((tag, proto, prep, rates))
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            jobs_out = list(pool.map(_point_job, payloads))
-    else:
-        jobs_out = [_point_job(p) for p in payloads]
+    jobs, prefixes = [], []
+    with (ProcessPoolExecutor(max_workers=args.workers) if args.workers > 1
+          else contextlib.nullcontext()) as pool:
+        for tag, proto, prep, rates in prepared:
+            scans = []
+            if isinstance(rates, Exception):
+                forks = [(k, HoldFork(proto, t, error=rates))
+                         for k, t in enumerate(proto.t_int)]
+            else:
+                forks = hold_forks(proto, prep=prep, prefixes=scans)
+            row_jobs = [None] * len(proto.t_int)
+            for k, fork in forks:
+                snap = os.path.join(out_dir, f"snapshot_point{len(jobs) + k}"
+                                    ".txt") if args.snapshot else None
+                payload = (fork, rates, snap)
+                row_jobs[k] = (pool.submit(_point_job, payload) if pool
+                               else _point_job(payload))
+            jobs += [(tag, job) for job in row_jobs]
+            prefixes += [{**dict(zip(tag_columns, tag)), **rec}
+                         for rec in scans]
+        jobs_out = [(tag, job.result() if pool else job) for tag, job in jobs]
 
     rows, notes, nfail = [], [], 0
     omega = cfg.params.omega
-    for tag, (point, oracle_e, dt_s) in zip(tags, jobs_out):
+    for tag, (point, oracle_e, dt_s) in jobs_out:
         note = {**dict(zip(tag_columns, tag)), "t_int": point.t_int}
         if point.error is not None:
             nfail += 1
@@ -170,14 +183,15 @@ def _cmd_scan(cfg, args, out_dir):
                            r.e_epr, r.alpha, r.beta, r.spin_len_a,
                            r.spin_len_b, r.overlap_a, r.overlap_b,
                            r.inferred_var_1, r.inferred_var_2, oracle_e))
-        notes.append({**note, "status": "ok", "seconds": dt_s})
+        notes.append({**note, "status": "ok", "dt": point.dt,
+                      "steps": point.steps, "seconds": dt_s})
     _write_table(os.path.join(out_dir, "results." + args.format),
                  tag_columns + CSV_COLUMNS, rows, args.format)
     timings = {"prepare": t_prep, "total": time.time() - t0}
     if cfg.values["with_oracle"]:
         timings["oracle"] = t_oracle
     _manifest(os.path.join(out_dir, "manifest.json"), cfg, args.command,
-              timings, notes)
+              timings, notes, prefixes=prefixes)
     return 2 if nfail else 0
 
 

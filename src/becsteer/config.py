@@ -17,6 +17,14 @@ the configured omega; ``a0`` denotes the oscillator length.  A list takes one
 unit: a trailing unit applies to every value, and differing units are an
 error.
 
+``dt`` is the longest time step.  A point of length T = 2 t_ramp + t_int
+steps with dt_T = T / ceil(T / dt) (the stability rule's step stands in for
+an unset dt).  The hold times of a run share one forward ramp and one hold,
+stepped with the longest hold time's dt_T; a hold time whose T and
+t_ramp + t_int are not whole multiples of that step (within 1e-9 relative)
+runs alone at its own dt_T.  So a single hold time always steps as a run of
+its own, and hold times on one step lattice share their steps.
+
 Protocol and physics keys are the fields of ProtocolConfig and PhysicalParams:
 their defaults and range checks are those of the dataclasses.  The keys no
 dataclass owns (`gs_tol`, `t_loss`, `with_oracle`, `oracle_*`, `sweep_*`)

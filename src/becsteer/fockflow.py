@@ -10,6 +10,8 @@ tracked as a 4-vector of per-mode coefficients; antisymmetry under reversal
 of the displacement is then exact by construction.
 """
 
+import copy
+
 import numpy as np
 
 from .grid import integrate, normalized_overlap
@@ -99,6 +101,16 @@ class TrajectorySet:
         self._theta_rate_prev = rate
         self._update_mean_phases()
         self.t += dt
+
+    def fork(self):
+        """An independent copy of the evolving state: wavefunctions, Theta
+        coefficients and rate, mean-phase unwrap data and time.  The grid,
+        the occupations and the propagator are shared."""
+        new = copy.copy(self)
+        for name in ("psi", "theta_coeff", "_theta_rate_prev", "_mean_phase",
+                     "_raw_prev"):
+            setattr(new, name, getattr(self, name).copy())
+        return new
 
     def theta(self, p_a, p_b):
         """Reduced phase for a displacement of p_sigma transfers per well."""

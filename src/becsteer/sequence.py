@@ -8,7 +8,8 @@ collective-spin moments and the steering witness are evaluated.
 """
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +19,10 @@ from .fockflow import init_trajectories
 from .correlators import spin_moments, epr_witness
 
 SQ2 = math.sqrt(2.0)
+# a length within this relative distance of a whole number of steps counts as
+# whole (see hold_forks): far above the rounding of length / dt, far below
+# the 1/n of any step count n
+LATTICE_RTOL = 1e-9
 
 
 @dataclass
@@ -159,54 +164,190 @@ class PointResult:
     moments: object = None        # SpinMoments
     separation_end: float = float("nan")
     error: str = None
+    dt: float = float("nan")      # time step of the point's scan
+    steps: int = 0                # steps taken after its fork
+
+
+def failed_point(cfg, t_int, exc):
+    """The record of a point whose run raised exc."""
+    return PointResult(t_int=t_int, t_total=2.0 * cfg.t_ramp + t_int,
+                       error=f"{type(exc).__name__}: {exc}")
+
+
+@dataclass
+class HoldFork:
+    """A scan's state at the end of one hold time.
+
+    What is left of the point is `steps` steps of `dt` (its backward ramp)
+    and the measurement.  When the shared prefix failed, `error` holds its
+    exception and there is no state.
+    """
+
+    cfg: ProtocolConfig
+    t_int: float
+    traj: object = None           # TrajectorySet
+    dt: float = None
+    steps: int = 0
+    error: Exception = None
+
+    def finish(self, snapshot_path=None):
+        """Run the rest of the point once and measure; raises its fault."""
+        if self.error is not None:
+            raise self.error
+        cfg, traj, t_int = self.cfg, self.traj, self.t_int
+
+        def pots(t):
+            return component_potentials(traj.grid, cfg, t, t_int)
+
+        for _ in range(self.steps):
+            traj.advance(pots, self.dt)
+        inp = traj.correlator_inputs(cfg.pulse_amplitudes(),
+                                     window_sigmas=cfg.window_sigmas)
+        point = PointResult(t_int=t_int, t_total=2.0 * cfg.t_ramp + t_int,
+                            moments=spin_moments(inp), dt=self.dt,
+                            steps=self.steps)
+        point.result = epr_witness(point.moments)
+        point.result.overlap_a = traj.density_overlap("a")
+        point.result.overlap_b = traj.density_overlap("b")
+        point.separation_end = well_separation(traj.grid, traj.psi[traj.CENTER])
+        if snapshot_path:
+            from .meanfield import save_snapshot
+            save_snapshot(snapshot_path, traj.grid, traj.psi[traj.CENTER],
+                          traj.nbar, traj.t)
+        return point
+
+
+def _whole_steps(length, dt):
+    """length / dt as an int, or None unless whole within LATTICE_RTOL."""
+    n = length / dt
+    return round(n) if abs(n - round(n)) <= LATTICE_RTOL * n else None
+
+
+def _scan_plan(cfg, dt):
+    """[(dt, [(index into cfg.t_int, fork step, total steps)])], one entry
+    per shared prefix, its members in order of hold time: the dt rule in
+    the docstring of becsteer.config, from the longest step dt."""
+    totals = [2.0 * cfg.t_ramp + t for t in cfg.t_int]
+
+    def own(k):
+        n = max(1, int(math.ceil(totals[k] / dt)))
+        return totals[k] / n, n
+
+    dt_scan = own(max(range(len(totals)), key=totals.__getitem__))[0]
+    shared, plan = [], []
+    for k in sorted(range(len(totals)), key=lambda k: cfg.t_int[k]):
+        m = _whole_steps(cfg.t_ramp + cfg.t_int[k], dt_scan)
+        n = _whole_steps(totals[k], dt_scan)
+        if m is not None and n is not None:
+            shared.append((k, m, n))
+        else:
+            dt_k, n_k = own(k)
+            m_k = min(n_k, round((cfg.t_ramp + cfg.t_int[k]) / dt_k))
+            plan.append((dt_k, [(k, m_k, n_k)]))
+    return ([(dt_scan, shared)] if shared else []) + plan
+
+
+def _shared_prefix(cfg, prep, dt, members, record):
+    """One forward ramp and one hold at step dt, forked at each member's end
+    of hold; yields (index, HoldFork) and counts its own steps and seconds
+    in `record`.
+
+    The chain follows the schedule of the longest hold, which is every
+    member's schedule before its fork.  At the fork instant the two can
+    differ in the last bit (the accumulated time can pass the end of the
+    hold, where the ramp formula takes over), so such a member is forked a
+    step early and takes that step itself: each fork repeats its one-hold
+    run exactly.
+    """
+    grid, g4, psi0, _ = prep
+    t_hold = max(cfg.t_int[k] for k, _, _ in members)
+
+    def pots(t):
+        return component_potentials(grid, cfg, t, t_hold)
+
+    def differs(t, t_int):
+        return (displacement_schedule(t, cfg.t_ramp, t_int, cfg.dz_max)
+                != displacement_schedule(t, cfg.t_ramp, t_hold, cfg.dz_max))
+
+    pending = list(members)
+    t0 = time.perf_counter()
+    try:
+        traj = init_trajectories(grid, g4, cfg.n_a, cfg.n_b, psi0,
+                                 beta=cfg.beta)
+        while pending:
+            k, m, n = pending[0]
+            done = record["steps"]
+            if m == done or (m == done + 1
+                             and differs(traj.t + dt, cfg.t_int[k])):
+                fork = traj.fork() if len(pending) > 1 else traj
+                pending.pop(0)
+                record["seconds"] += time.perf_counter() - t0
+                yield k, HoldFork(cfg, cfg.t_int[k], fork, dt, n - done)
+                t0 = time.perf_counter()
+            else:
+                traj.advance(pots, dt)
+                record["steps"] += 1
+    except Exception as exc:  # noqa: BLE001 - fails the forks not yet taken
+        for k, _, _ in pending:
+            yield k, HoldFork(cfg, cfg.t_int[k], error=exc)
+    record["seconds"] += time.perf_counter() - t0
+
+
+def hold_forks(cfg, params=None, prep=None, prefixes=None):
+    """Run the protocol to the end of each hold time, sharing the steps.
+
+    Hold times share one forward ramp and one continuous hold up to the
+    longest of them; yields (index into cfg.t_int, HoldFork) as each fork is
+    taken, in order of hold time within each prefix.  A fault in a shared prefix is yielded as
+    a HoldFork with `error` set for each fork it had not reached.  With a
+    list as `prefixes`, one record per shared prefix is appended: its hold
+    times, `dt`, `steps` and `seconds` (its own, not its forks').
+
+    Which hold times share a prefix, and its step, follow the dt rule in
+    the docstring of becsteer.config: a single hold time always steps
+    exactly as a run of its own.
+    """
+    if prep is None:
+        prep = prepare_initial(cfg, params)
+    grid, g4, psi0, _ = prep
+    try:
+        dt = cfg.dt
+        if dt is None:
+            traj = init_trajectories(grid, g4, cfg.n_a, cfg.n_b, psi0,
+                                     beta=cfg.beta)
+            pots0 = component_potentials(grid, cfg, 0.0, 0.0)
+            dt = stable_dt(grid, g4, pots0, psi0, traj.ns.max(axis=0))
+        plan = _scan_plan(cfg, dt)
+    except Exception as exc:  # noqa: BLE001 - fails every point
+        for k, t_int in enumerate(cfg.t_int):
+            yield k, HoldFork(cfg, t_int, error=exc)
+        return
+    for dt, members in plan:
+        record = {"t_int": [cfg.t_int[k] for k, _, _ in members], "dt": dt,
+                  "steps": 0, "seconds": 0.0}
+        if prefixes is not None:
+            prefixes.append(record)
+        yield from _shared_prefix(cfg, prep, dt, members, record)
 
 
 def run_point(cfg, t_int, params=None, prep=None):
     """Run the full protocol for one hold time and measure at the end."""
-    if prep is None:
-        prep = prepare_initial(cfg, params)
-    grid, g4, psi0, _ = prep
-    traj = init_trajectories(grid, g4, cfg.n_a, cfg.n_b, psi0, beta=cfg.beta)
-
-    t_total = 2.0 * cfg.t_ramp + t_int
-    dt = cfg.dt
-    if dt is None:
-        pots0 = component_potentials(grid, cfg, 0.0, t_int)
-        dt = stable_dt(grid, g4, pots0, psi0, traj.ns.max(axis=0))
-    n_steps = max(1, int(math.ceil(t_total / dt)))
-    dt = t_total / n_steps
-
-    def pots(t):
-        return component_potentials(grid, cfg, t, t_int)
-
-    for _ in range(n_steps):
-        traj.advance(pots, dt)
-    inp = traj.correlator_inputs(cfg.pulse_amplitudes(),
-                                 window_sigmas=cfg.window_sigmas)
-    point = PointResult(t_int=t_int, t_total=t_total, moments=spin_moments(inp))
-    point.result = epr_witness(point.moments)
-    point.result.overlap_a = traj.density_overlap("a")
-    point.result.overlap_b = traj.density_overlap("b")
-    point.separation_end = well_separation(grid, traj.psi[traj.CENTER])
-    if cfg.snapshot_path:
-        from .meanfield import save_snapshot
-        save_snapshot(cfg.snapshot_path, grid, traj.psi[traj.CENTER],
-                      traj.nbar, traj.t)
-    return point
+    ((_, fork),) = hold_forks(replace(cfg, t_int=(t_int,)), params, prep)
+    return fork.finish(cfg.snapshot_path)
 
 
 def run_protocol(cfg, params=None, prep=None, progress=None):
-    """Scan all hold times; a failed point is recorded, not fatal."""
-    if prep is None:
-        prep = prepare_initial(cfg, params)
-    points = []
-    for t_int in cfg.t_int:
+    """Scan all hold times; a failed point is recorded, not fatal.
+
+    Points come back in the order of cfg.t_int; `progress` sees each as it
+    finishes (see hold_forks for that order).
+    """
+    points = [None] * len(cfg.t_int)
+    for k, fork in hold_forks(cfg, params, prep):
         try:
-            point = run_point(cfg, t_int, params=params, prep=prep)
+            points[k] = fork.finish(cfg.snapshot_path)
         except Exception as exc:  # noqa: BLE001 - per-point fault isolation
-            point = PointResult(t_int=t_int, t_total=2.0 * cfg.t_ramp + t_int,
-                                error=f"{type(exc).__name__}: {exc}")
-        points.append(point)
+            points[k] = failed_point(cfg, fork.t_int, exc)
         if progress is not None:
-            progress(point)
+            progress(points[k])
     return points

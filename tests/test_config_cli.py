@@ -193,6 +193,53 @@ def test_cli_failed_point_gives_exit_2(tmp_path):
     assert any(p["status"] == "failed" for p in man["points"])
 
 
+def scan_tiny(tmp_path, t_int):
+    """(exit code, result rows as bytes, manifest) of TINY at these hold times."""
+    cfgp = write_tiny(tmp_path, f"t_int = {t_int} /omega\n")
+    out = tmp_path / ("t" + t_int.replace(", ", "_"))
+    code = main(["run", "--config", cfgp, "--out", str(out)])
+    man = json.loads((out / "manifest.json").read_text())
+    return code, (out / "results.csv").read_bytes().splitlines()[1:], man
+
+
+@pytest.mark.parametrize("t_ints, dts, prefixes", [
+    ("0.5, 0, 0.25", [0.05] * 3, [[0.0, 0.25, 0.5]]),
+    # T = 3.33 is 66.6 steps of 0.05: that point runs alone at 3.33 / 67
+    ("0, 0.33, 0.5", [0.05, 3.33 / 67, 0.05], [[0.0, 0.5], [0.33]]),
+], ids=["lattice", "off-lattice"])
+def test_cli_forked_rows_equal_single_hold_runs(tmp_path, t_ints, dts,
+                                                prefixes):
+    # hold times on the dt lattice fork from one shared prefix, in order of
+    # hold time; rows stay in config order and equal each hold time's own run
+    code, rows, man = scan_tiny(tmp_path, t_ints)
+    assert code == 0
+    assert rows == [scan_tiny(tmp_path, t)[1][0] for t in t_ints.split(", ")]
+    assert [p["dt"] for p in man["points"]] == dts
+    assert [p["t_int"] for p in man["prefixes"]] == prefixes
+
+
+@pytest.mark.parametrize("t_ints, early", [("0, 0.2, 0.7", 0),
+                                           ("0, 0.5, 1", 1)])
+def test_cli_manifest_counts_every_step(tmp_path, monkeypatch, t_ints, early):
+    # one forward ramp, the hold up to the longest t_int and one backward
+    # ramp per point; a fork whose schedule rounds apart from the prefix's at
+    # its fork instant (0.5 here) takes its last hold step itself
+    from becsteer.meanfield import SplitStepEvolver
+    calls = []
+    real = SplitStepEvolver.step
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+    monkeypatch.setattr(SplitStepEvolver, "step", counted)
+    code, _, man = scan_tiny(tmp_path, t_ints)
+    ts = [float(t) for t in t_ints.split(",")]
+    shared = round((1.5 + max(ts) + len(ts) * 1.5) / 0.05)
+    steps = (sum(p["steps"] for p in man["prefixes"])
+             + sum(p["steps"] for p in man["points"]))
+    assert code == 0 and steps == len(calls) == shared + early
+
+
 def test_cli_worker_count_determinism(tmp_path):
     cfgp = write_tiny(tmp_path)
     out1, out2 = tmp_path / "w1", tmp_path / "w2"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -121,23 +122,43 @@ def test_run_point_end_to_end():
     assert point.separation_end < 0.3
 
 
-def test_run_protocol_isolates_failed_points(prep, monkeypatch):
+def test_run_protocol_isolates_failed_points(prep, monkeypatch, tmp_path):
+    # t_int 0, 0.25, 0.5 share one prefix that runs the 0.5 schedule; each
+    # fork runs its own.  A fault in the 0.25 fork fails that point only; a
+    # fault in the shared hold between the first two forks fails both later
+    # forks with its error.  `becsteer run` exits 2 either way.
     cfg, pr = prep
     import becsteer.sequence as seq
-    real = seq.run_point
+    from becsteer.cli import main
+    real = seq.component_potentials
+    faults = {
+        "fork": lambda t, t_int: t_int == 0.25,
+        "hold": lambda t, t_int: (t_int == 0.5
+                                  and cfg.t_ramp + 0.1 < t < cfg.t_ramp + 0.2),
+    }
+    text = ("n_a = 20\nn_b = 20\ndz_max = 3 a0\nt_ramp = 1.5 /omega\n"
+            "t_int = 0, 0.25, 0.5 /omega\nn_r = 8\ndr = 0.45 a0\n"
+            "dz = 0.45 a0\nz_margin = 2.5 a0\ndt = 0.05 /omega\n")
+    (tmp_path / "tiny.cfg").write_text(text)
+    for where, failed in (("fork", [False, True, False]),
+                          ("hold", [False, True, True])):
+        def flaky(grid, c, t, t_int, fault=faults[where]):
+            if fault(t, t_int):
+                raise RuntimeError(f"boom in {where}")
+            return real(grid, c, t, t_int)
 
-    def flaky(c, t_int, params=None, prep=None):
-        if t_int == 0.25:
-            raise RuntimeError("boom")
-        return real(c, t_int, params=params, prep=prep)
-
-    monkeypatch.setattr(seq, "run_point", flaky)
-    cfg3 = tiny_cfg(t_int=(0.0, 0.25, 0.5))
-    points = seq.run_protocol(cfg3, params=PhysicalParams(), prep=pr)
-    assert len(points) == 3
-    assert points[0].error is None and points[2].error is None
-    assert "boom" in points[1].error
-    assert isinstance(points[1], PointResult)
+        monkeypatch.setattr(seq, "component_potentials", flaky)
+        cfg3 = tiny_cfg(t_int=(0.0, 0.25, 0.5))
+        points = seq.run_protocol(cfg3, params=PhysicalParams(), prep=pr)
+        assert all(isinstance(p, PointResult) for p in points)
+        assert [p.error is not None for p in points] == failed
+        assert all(f"boom in {where}" in p.error
+                   for p, bad in zip(points, failed) if bad)
+        out = tmp_path / where
+        assert main(["run", "--config", str(tmp_path / "tiny.cfg"),
+                     "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert [p["status"] == "failed" for p in man["points"]] == failed
 
 
 def test_snapshot_written(prep, tmp_path):
