@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from becsteer.grid import build_grid, integrate, norm
-from becsteer.meanfield import (FockVector, PhysicalParams, SplitStepEvolver,
-                                chemical_potential, energy_fields,
+from becsteer.meanfield import (PROPAGATOR_CUT, FockVector, PhysicalParams,
+                                SplitStepEvolver, _cayley, chemical_potential,
+                                energy_fields,
                                 gpe_residual, ground_state, load_snapshot,
                                 save_snapshot, stable_dt)
 
@@ -197,3 +198,22 @@ def test_split_step_kinetic_is_grid_laplacian(grid, imaginary):
         errs.append(np.abs(got - h_psi).max() / np.abs(h_psi).max())
     assert errs[1] < 2.0 * 1e-3
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.05)
+
+
+def test_propagators_hold_no_entry_below_the_cut(par):
+    # fig2a's grid at the committed dt, where the far entries of U_z are
+    # subnormal; the two-product sweep is the z-r-z sweep to roundoff
+    grid = build_grid(28, 204, 1 / 7, 1 / 7, -9.5)
+    dt = 0.004
+    ev = SplitStepEvolver(grid, par.g4(), dt)
+    for u in (ev._u_zz, ev._u_r):
+        mag = np.abs(u)
+        assert mag[mag > 0].min() >= PROPAGATOR_CUT * mag.max()
+    assert (ev._u_zz == 0).any()
+    u_z = _cayley(*grid.axial_tridiag(), 0.5j * dt)
+    u_r = _cayley(*grid.radial_tridiag(), 1j * dt)
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=(4,) + grid.shape) + 1j * rng.normal(size=(4,) + grid.shape)
+    want = (u_r @ (psi @ u_z.T)) @ u_z.T
+    got = ev._kinetic(psi)
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
