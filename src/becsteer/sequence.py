@@ -322,12 +322,12 @@ def hold_forks(cfg, params=None, prep=None, prefixes=None):
         for k, t_int in enumerate(cfg.t_int):
             yield k, HoldFork(cfg, t_int, error=exc)
         return
-    for dt, members in plan:
-        record = {"t_int": [cfg.t_int[k] for k, _, _ in members], "dt": dt,
+    for step, members in plan:
+        record = {"t_int": [cfg.t_int[k] for k, _, _ in members], "dt": step,
                   "steps": 0, "seconds": 0.0}
         if prefixes is not None:
             prefixes.append(record)
-        yield from _shared_prefix(cfg, prep, dt, members, record)
+        yield from _shared_prefix(cfg, prep, step, members, record)
 
 
 def run_point(cfg, t_int, params=None, prep=None):
