@@ -4,9 +4,9 @@ Runs the complete measurement sequence — prepare, pi/2 pulse, state-dependent
 transport, hold, transport back, measure — for a handful of hold times at a
 desk-friendly atom number, and prints the witness scan. The same machinery
 (configs/fig2a.cfg et al.) reproduces the full-size results; this is the
-five-minute version.
+desk-scale version.  The four hold times share one forward ramp and hold.
 
-Run:  python3 demos/03_protocol_scan.py   (~5 min)
+Run:  python3 demos/03_protocol_scan.py   (~20 s on 2 CPUs)
 """
 
 from becsteer.meanfield import PhysicalParams

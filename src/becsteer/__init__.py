@@ -21,10 +21,9 @@ from .correlators import (CorrelatorInputs, EPRResult, MultiIndex,
                           WitnessUndefinedError, brute_force_average,
                           epr_witness, fock_sum_average, quadrature_moments,
                           spin_moments)
-from .sequence import (HoldFork, PointResult, ProtocolConfig,
-                       component_potentials, hold_forks, prepare_initial,
-                       ramp_displacement, run_point, run_protocol,
-                       well_separation)
+from .sequence import (PointResult, ProtocolConfig, component_potentials,
+                       prepare_initial, ramp_displacement, run_point,
+                       run_protocol, well_separation)
 from .oracle4mode import (FourModeState, adiabatic_rates, evolve_exact,
                           extract_chi, oracle_moments, oracle_witness,
                           pulse_state, twisting_phases)

@@ -151,22 +151,22 @@ def _cmd_scan(cfg, args, out_dir):
     with (ProcessPoolExecutor(max_workers=args.workers) if args.workers > 1
           else contextlib.nullcontext()) as pool:
         for tag, proto, prep, rates in prepared:
-            scans = []
+            grid_prefixes = []
             if isinstance(rates, Exception):
                 forks = [(k, HoldFork(proto, t, error=rates))
                          for k, t in enumerate(proto.t_int)]
             else:
-                forks = hold_forks(proto, prep=prep, prefixes=scans)
+                forks = hold_forks(proto, prep=prep, prefixes=grid_prefixes)
             row_jobs = [None] * len(proto.t_int)
             for k, fork in forks:
-                snap = os.path.join(out_dir, f"snapshot_point{len(jobs) + k}"
-                                    ".txt") if args.snapshot else None
+                name = f"snapshot_point{len(jobs) + k}.txt"
+                snap = os.path.join(out_dir, name) if args.snapshot else None
                 payload = (fork, rates, snap)
                 row_jobs[k] = (pool.submit(_point_job, payload) if pool
                                else _point_job(payload))
             jobs += [(tag, job) for job in row_jobs]
             prefixes += [{**dict(zip(tag_columns, tag)), **rec}
-                         for rec in scans]
+                         for rec in grid_prefixes]
         jobs_out = [(tag, job.result() if pool else job) for tag, job in jobs]
 
     rows, notes, nfail = [], [], 0

@@ -209,7 +209,8 @@ class HoldFork:
         point.result = epr_witness(point.moments)
         point.result.overlap_a = traj.density_overlap("a")
         point.result.overlap_b = traj.density_overlap("b")
-        point.separation_end = well_separation(traj.grid, traj.psi[traj.CENTER])
+        point.separation_end = well_separation(traj.grid,
+                                               traj.psi[traj.CENTER])
         if snapshot_path:
             from .meanfield import save_snapshot
             save_snapshot(snapshot_path, traj.grid, traj.psi[traj.CENTER],
@@ -298,10 +299,11 @@ def hold_forks(cfg, params=None, prep=None, prefixes=None):
 
     Hold times share one forward ramp and one continuous hold up to the
     longest of them; yields (index into cfg.t_int, HoldFork) as each fork is
-    taken, in order of hold time within each prefix.  A fault in a shared prefix is yielded as
-    a HoldFork with `error` set for each fork it had not reached.  With a
-    list as `prefixes`, one record per shared prefix is appended: its hold
-    times, `dt`, `steps` and `seconds` (its own, not its forks').
+    taken, in order of hold time within each prefix.  A fault in a shared
+    prefix is yielded as a HoldFork with `error` set for each fork it had
+    not reached.  With a list as `prefixes`, one record per shared prefix is
+    appended: its hold times, `dt`, `steps` and `seconds` (its own, not its
+    forks').
 
     Which hold times share a prefix, and its step, follow the dt rule in
     the docstring of becsteer.config: a single hold time always steps
