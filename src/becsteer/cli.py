@@ -2,19 +2,21 @@
 
 Subcommands::
 
-    becsteer run    --config fig2a.cfg --out results/ [--workers N]
-    becsteer sweep  --config sweep.cfg --out results/ [--workers N]
+    becsteer run    --config fig2a.cfg --out results/ [--workers N] [--snapshot]
+    becsteer sweep  --config sweep.cfg --out results/ [--workers N] [--snapshot]
     becsteer oracle --config fig2a.cfg --out results/
     becsteer losses --config fig3.cfg  --out results/
     becsteer check
 
+`oracle` accepts `--workers` too, and runs in one process whatever its value.
 `run` and `sweep` share one engine: a sweep is a run over the grid
 sweep_n x sweep_dz_max x sweep_t_ramp (an unset axis keeps the config's
 value).  Each grid point gets one ground state, solved to `gs_tol` before
 any point runs; every (grid point, hold time) pair is then one point, and
 `--snapshot` writes snapshot_point{i}.txt over all points in row order.
 With `with_oracle` each grid point's chi rates are computed here too, once for
-all its hold times: the twisting phases are affine in the hold time.
+all its hold times: the twisting phases are affine in the hold time.  The
+chi ground states are solved to `gs_tol` as well, here and in `oracle`.
 
 Results are written as a CSV (12 significant digits, fixed column order, so
 identical configs give byte-identical files regardless of worker count) plus
@@ -55,18 +57,11 @@ def _sig(x):
     return f"{float(x):.12g}"
 
 
-def _write_table(path, columns, rows, fmt):
-    if fmt == "json":
-        data = [dict(zip(columns, [None if isinstance(v, float) and math.isnan(v)
-                                   else v for v in row])) for row in rows]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1)
-            fh.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_sig(v) for v in row) + "\n")
+def _write_table(path, columns, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_sig(v) for v in row) + "\n")
 
 
 def _manifest(path, cfg, command, timings, points, **extra):
@@ -141,7 +136,7 @@ def _cmd_scan(cfg, args, out_dir):
             try:
                 rates = oracle4mode.adiabatic_rates(
                     proto, point_cfg.params, values["oracle_samples"],
-                    values["oracle_dn"])
+                    values["oracle_dn"], tol=values["gs_tol"])
             except Exception as exc:  # noqa: BLE001 - fails its points
                 rates = exc
             t_oracle += time.time() - t1
@@ -185,8 +180,8 @@ def _cmd_scan(cfg, args, out_dir):
                            r.inferred_var_1, r.inferred_var_2, oracle_e))
         notes.append({**note, "status": "ok", "dt": point.dt,
                       "steps": point.steps, "seconds": dt_s})
-    _write_table(os.path.join(out_dir, "results." + args.format),
-                 tag_columns + CSV_COLUMNS, rows, args.format)
+    _write_table(os.path.join(out_dir, "results.csv"),
+                 tag_columns + CSV_COLUMNS, rows)
     timings = {"prepare": t_prep, "total": time.time() - t0}
     if cfg.values["with_oracle"]:
         timings["oracle"] = t_oracle
@@ -212,7 +207,8 @@ def _cmd_oracle(cfg, args, out_dir):
     else:  # spatial mode: one ramp's chi rates serve every hold time
         rates = oracle4mode.adiabatic_rates(proto, cfg.params,
                                             cfg.values["oracle_samples"],
-                                            cfg.values["oracle_dn"])
+                                            cfg.values["oracle_dn"],
+                                            tol=cfg.values["gs_tol"])
         phis = [oracle4mode.twisting_phases(*rates, t) for t in proto.t_int]
         tags = [((2 * proto.t_ramp + t) / cfg.params.omega,
                  t / cfg.params.omega) for t in proto.t_int]
@@ -224,9 +220,9 @@ def _cmd_oracle(cfg, args, out_dir):
             proto.n_a, proto.n_b, proto.pulse_amplitudes()), *ph)
         r = oracle4mode.oracle_witness(st)
         rows.append(tag + tuple(ph) + (r.e_epr, r.alpha, r.beta))
-    _write_table(os.path.join(out_dir, "oracle." + args.format),
+    _write_table(os.path.join(out_dir, "oracle.csv"),
                  columns + ("phi_a", "phi_b", "phi_ab", "oracle_E_EPR",
-                            "alpha_opt", "beta_opt"), rows, args.format)
+                            "alpha_opt", "beta_opt"), rows)
     _manifest(os.path.join(out_dir, "manifest.json"), cfg, "oracle",
               {"total": time.time() - t0}, [])
     return 0
@@ -346,11 +342,12 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--snapshot", action="store_true")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--set", action="append", default=[],
                        help="override a config key, e.g. --set 'n_a = 50'")
+        if name != "losses":  # oracle ignores it: one command line serves all three
+            p.add_argument("--workers", type=int, default=1)
+        if name in ("run", "sweep"):
+            p.add_argument("--snapshot", action="store_true")
     sub.add_parser("check")
     args = ap.parse_args(argv)
 

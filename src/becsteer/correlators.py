@@ -20,6 +20,11 @@ from scipy.special import gammaln
 
 from .meanfield import FockVector
 
+EDGE_TOL = 1e-12      # largest weight at a window edge that truncates, over the peak
+HERM_TOL = 1e-6       # largest imaginary part of a spin moment, over N (N^2 if second)
+ANGLE_TOL = 1e-6      # epr_witness: golden-section stopping width of each angle
+MIN_CONTRAST = 1e-6   # epr_witness: smallest well-b contrast with a defined witness
+
 
 class TruncationError(RuntimeError):
     pass
@@ -87,7 +92,6 @@ class CorrelatorInputs:
     C: np.ndarray
     window_sigmas: float = 8.0
     window: tuple = None
-    edge_tol: float = 1e-12
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -139,14 +143,14 @@ class CorrelatorInputs:
         # a significant weight at a window edge that actually truncates the
         # physical range means the window is too small
         top = wts.max()
-        if lo == -w and lo > d0 - n0 and wts[0] > self.edge_tol * top:
+        if lo == -w and lo > d0 - n0 and wts[0] > EDGE_TOL * top:
             raise TruncationError(
                 f"well {well} window [-{w},{w}] truncates: lower edge weight "
-                f"{wts[0] / top:.2e} above {self.edge_tol:.0e}")
-        if hi == w and hi < n1 - d1 and wts[-1] > self.edge_tol * top:
+                f"{wts[0] / top:.2e} above {EDGE_TOL:.0e}")
+        if hi == w and hi < n1 - d1 and wts[-1] > EDGE_TOL * top:
             raise TruncationError(
                 f"well {well} window [-{w},{w}] truncates: upper edge weight "
-                f"{wts[-1] / top:.2e} above {self.edge_tol:.0e}")
+                f"{wts[-1] / top:.2e} above {EDGE_TOL:.0e}")
         return ks, wts
 
     def _slot_table(self, gs, ds, m_a, m_b, ks_a, ks_b):
@@ -417,14 +421,14 @@ class SpinMoments:
         return 2.0 * self.spin_length(well) / n
 
 
-def spin_moments(inp, evaluator=fock_sum_average, herm_tol=1e-6):
+def spin_moments(inp, evaluator=fock_sum_average):
     """All first and second moments of the collective spins of both wells."""
     terms = [_ladder_terms(op, well) for op, well in _AXES]
     mean = np.empty(6)
     scale = 0.5 * (inp.nbar.n_a + inp.nbar.n_b)
     for i in range(6):
         v = operator_mean(inp, terms[i], evaluator)
-        if abs(v.imag) > herm_tol * max(scale, 1.0):
+        if abs(v.imag) > HERM_TOL * max(scale, 1.0):
             raise RuntimeError(f"spin mean has imaginary part {v.imag:.3e}")
         mean[i] = v.real
     second = np.empty((6, 6))
@@ -436,7 +440,7 @@ def spin_moments(inp, evaluator=fock_sum_average, herm_tol=1e-6):
             else:
                 vji = vij
             sym = 0.5 * (vij + vji)
-            if abs(sym.imag) > herm_tol * max(scale * scale, 1.0):
+            if abs(sym.imag) > HERM_TOL * max(scale * scale, 1.0):
                 raise RuntimeError(
                     f"symmetrized second moment ({i},{j}) has imaginary part "
                     f"{sym.imag:.3e}")
@@ -528,7 +532,7 @@ def _golden_min(f, lo, hi, tol):
     return 0.5 * (a + b)
 
 
-def epr_witness(m, angle_tol=1e-6, min_contrast=1e-6):
+def epr_witness(m):
     """Minimize the product steering witness over both quadrature angles.
 
     Coarse 2-degree grid scan over [0, pi)^2 followed by coordinatewise
@@ -536,10 +540,10 @@ def epr_witness(m, angle_tol=1e-6, min_contrast=1e-6):
     spin of the inferring well has collapsed (witness denominator ~ 0).
     """
     len_b = m.spin_length("b")
-    if 2.0 * len_b / max(m.n_b, 1) < min_contrast:
+    if 2.0 * len_b / max(m.n_b, 1) < MIN_CONTRAST:
         raise WitnessUndefinedError(
             f"well-b contrast {2.0 * len_b / max(m.n_b, 1):.2e} below "
-            f"{min_contrast:.0e}; witness denominator vanishes")
+            f"{MIN_CONTRAST:.0e}; witness denominator vanishes")
     cov4 = _cov4(m)
 
     grid = np.arange(0.0, math.pi, math.pi / 90.0)
@@ -552,11 +556,11 @@ def epr_witness(m, angle_tol=1e-6, min_contrast=1e-6):
     for _ in range(8):
         alpha = _golden_min(
             lambda x: _witness_sq(cov4, len_b, np.asarray(x), np.asarray(beta)),
-            alpha - half, alpha + half, angle_tol)
+            alpha - half, alpha + half, ANGLE_TOL)
         beta = _golden_min(
             lambda x: _witness_sq(cov4, len_b, np.asarray(alpha), np.asarray(x)),
-            beta - half, beta + half, angle_tol)
-        half = max(10.0 * angle_tol, half * 0.25)
+            beta - half, beta + half, ANGLE_TOL)
+        half = max(10.0 * ANGLE_TOL, half * 0.25)
 
     e2 = float(_witness_sq(cov4, len_b, np.asarray(alpha), np.asarray(beta)))
     var_a, var_a90, var_b, var_b90, cov_ab, cov_ab90 = \

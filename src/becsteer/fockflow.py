@@ -142,7 +142,7 @@ class TrajectorySet:
         d0, d1 = np.abs(self.psi[self.CENTER, base:base + 2]) ** 2
         return normalized_overlap(self.grid, d0, d1)
 
-    def correlator_inputs(self, C, window_sigmas=8.0, window=None):
+    def correlator_inputs(self, C, window_sigmas=8.0):
         """Snapshot of everything the correlator evaluation needs."""
         from .correlators import CorrelatorInputs
 
@@ -156,7 +156,6 @@ class TrajectorySet:
             nbar=self.nbar,
             C=np.asarray(C, dtype=complex),
             window_sigmas=window_sigmas,
-            window=window,
         )
 
 

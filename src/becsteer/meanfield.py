@@ -21,6 +21,13 @@ COMPONENTS = ("a0", "a1", "b0", "b1")
 COMPONENT_STATE = (0, 1, 0, 1)  # internal state of each component
 COMPONENT_WELL = (0, 0, 1, 1)   # well index (a=0, b=1)
 
+NORM_TOL = 1e-6                 # check_norms: largest drift of a norm from 1
+DT_MARGIN = 0.05                # stable_dt: largest (|V| + g n) dt of a step
+DT_FLOOR = 1e-8                 # stable_dt: density, over the peak, of a sampled cell
+RELAX_TAU = 0.05                # ground_state: imaginary-time step
+RELAX_TOL = 1e-10               # ground_state: relative energy change ending relaxation
+POLISH_MAX_ITER = 60000         # _descent_polish: iterations before ConvergenceError
+
 
 class IntegrationError(RuntimeError):
     pass
@@ -205,22 +212,23 @@ class SplitStepEvolver:
         """Advance one dt; v_t and v_t_dt are (4, n_r, n_z) potential stacks."""
         return self._strang(psi, ns, v_t, v_t_dt)
 
-    def check_norms(self, psi, tol=1e-6):
+    def check_norms(self, psi):
         nrm = np.real(np.sum(self.grid.weights * np.abs(psi) ** 2, axis=(-2, -1)))
         drift = np.max(np.abs(nrm - 1.0))
-        if drift > tol:
-            raise IntegrationError(f"norm drift {drift:.3e} exceeds {tol:.1e}")
+        if drift > NORM_TOL:
+            raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_TOL:.1e}")
         return drift
 
 
-def stable_dt(grid, g4, potentials, psi, ns, margin=0.05, floor=1e-8):
-    """Step-size rule max(|V| + g n_max) dt < margin, restricted to the region
-    the wavefunctions actually sample (density above `floor` of the peak)."""
+def stable_dt(grid, g4, potentials, psi, ns):
+    """Step-size rule max(|V| + g n_max) dt < DT_MARGIN, restricted to the
+    region the wavefunctions actually sample (density above DT_FLOOR of the
+    peak)."""
     dens = np.abs(psi) ** 2
-    mask = dens.max(axis=tuple(range(dens.ndim - 2))) > floor * dens.max()
+    mask = dens.max(axis=tuple(range(dens.ndim - 2))) > DT_FLOOR * dens.max()
     gn = np.einsum("ab,...bij->...aij", np.asarray(g4), np.asarray(ns)[..., :, None, None] * dens)
     scale = (np.abs(potentials) + gn)[..., mask].max()
-    return margin / scale
+    return DT_MARGIN / scale
 
 
 def energy_fields(grid, psi, ns, potentials, g4):
@@ -257,7 +265,7 @@ def gpe_residual(grid, psi, ns, potentials, g4):
     return norm(grid, h_psi - mu[:, None, None] * psi)
 
 
-def _descent_polish(grid, psi, ns, potentials, g4, tol, max_iter=60000):
+def _descent_polish(grid, psi, ns, potentials, g4, tol):
     """Projected gradient descent to the exact discrete stationary state.
 
     Step size is set per component from an upper bound on the spectrum of the
@@ -265,7 +273,7 @@ def _descent_polish(grid, psi, ns, potentials, g4, tol, max_iter=60000):
     the fixed point has residual zero on the discrete GPE.
     """
     lam_kin = 0.5 * (4.0 / grid.dr**2 + 4.0 / grid.dz**2)
-    for it in range(max_iter):
+    for it in range(POLISH_MAX_ITER):
         hpsi, veff = _gpe_apply(grid, psi, ns, potentials, g4)
         mu = np.real(inner(grid, psi, hpsi))
         res_vec = hpsi - mu[:, None, None] * psi
@@ -276,12 +284,12 @@ def _descent_polish(grid, psi, ns, potentials, g4, tol, max_iter=60000):
         psi = psi - tau * res_vec
         psi = psi / _norms(grid, psi)[:, None, None]
     raise ConvergenceError(
-        f"ground state not converged after {max_iter} descent iterations, "
+        f"ground state not converged after {POLISH_MAX_ITER} descent iterations, "
         f"residual {resn.max():.3e}")
 
 
-def ground_state(grid, fock, potentials, g4, tol=1e-8, tau=0.05,
-                 relax_iters=4000, relax_tol=1e-10, psi0=None):
+def ground_state(grid, fock, potentials, g4, tol=1e-8, relax_iters=4000,
+                 psi0=None):
     """Coupled ground state by imaginary time plus self-consistent polish.
 
     potentials must be time-independent, shape (4, n_r, n_z).  Returns a
@@ -300,7 +308,7 @@ def ground_state(grid, fock, potentials, g4, tol=1e-8, tau=0.05,
         psi = psi0.astype(complex).copy()
         psi /= _norms(grid, psi)[:, None, None]
 
-    ev = SplitStepEvolver(grid, g4, tau, imaginary=True)
+    ev = SplitStepEvolver(grid, g4, RELAX_TAU, imaginary=True)
     prev_e = np.inf
     for it in range(relax_iters):
         # not `step`, whose calls count the real-time steps of a run
@@ -308,7 +316,7 @@ def ground_state(grid, fock, potentials, g4, tol=1e-8, tau=0.05,
         psi = psi / _norms(grid, psi)[:, None, None]
         if it % 25 == 24:
             e = energy_fields(grid, psi, ns, potentials, g4)
-            if abs(prev_e - e) < relax_tol * max(abs(e), 1.0):
+            if abs(prev_e - e) < RELAX_TOL * max(abs(e), 1.0):
                 break
             prev_e = e
 

@@ -9,12 +9,12 @@ collective-spin moments and the steering witness are evaluated.
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import MIN_POINTS, build_grid, normalized_overlap
-from .meanfield import PhysicalParams, ground_state, stable_dt
+from .meanfield import PhysicalParams, ground_state, save_snapshot, stable_dt
 from .fockflow import init_trajectories
 from .correlators import spin_moments, epr_witness
 
@@ -50,7 +50,6 @@ class ProtocolConfig:
     z_margin: float = 4.5
     # time stepping; None picks the stability-rule step at prep time
     dt: float = None
-    snapshot_path: str = None
 
     def __post_init__(self):
         checks = (
@@ -136,12 +135,11 @@ def well_separation(grid, psi):
     return normalized_overlap(grid, np.abs(psi[0]) ** 2, np.abs(psi[2]) ** 2)
 
 
-def prepare_initial(cfg, params=None, grid=None, tol=1e-8):
+def prepare_initial(cfg, params=None, tol=1e-8):
     """Ground state before the pulse: all atoms in state 0 of each well."""
     if params is None:
         params = PhysicalParams()
-    if grid is None:
-        grid = cfg.build_grid()
+    grid = cfg.build_grid()
     g4 = params.g4()
     pots = component_potentials(grid, cfg, 0.0, 0.0)
     ns = np.array([cfg.n_a, 0.0, cfg.n_b, 0.0])
@@ -212,7 +210,6 @@ class HoldFork:
         point.separation_end = well_separation(traj.grid,
                                                traj.psi[traj.CENTER])
         if snapshot_path:
-            from .meanfield import save_snapshot
             save_snapshot(snapshot_path, traj.grid, traj.psi[traj.CENTER],
                           traj.nbar, traj.t)
         return point
@@ -332,12 +329,6 @@ def hold_forks(cfg, params=None, prep=None, prefixes=None):
         yield from _shared_prefix(cfg, prep, step, members, record)
 
 
-def run_point(cfg, t_int, params=None, prep=None):
-    """Run the full protocol for one hold time and measure at the end."""
-    ((_, fork),) = hold_forks(replace(cfg, t_int=(t_int,)), params, prep)
-    return fork.finish(cfg.snapshot_path)
-
-
 def run_protocol(cfg, params=None, prep=None, progress=None):
     """Scan all hold times; a failed point is recorded, not fatal.
 
@@ -347,7 +338,7 @@ def run_protocol(cfg, params=None, prep=None, progress=None):
     points = [None] * len(cfg.t_int)
     for k, fork in hold_forks(cfg, params, prep):
         try:
-            points[k] = fork.finish(cfg.snapshot_path)
+            points[k] = fork.finish()
         except Exception as exc:  # noqa: BLE001 - per-point fault isolation
             points[k] = failed_point(cfg, fork.t_int, exc)
         if progress is not None:

@@ -24,7 +24,7 @@ from becsteer.oracle4mode import (evolve_exact, oracle_moments,
                                   oracle_witness, pulse_state)
 from becsteer.losses import loss_estimate
 from becsteer.sequence import (ProtocolConfig, component_potentials,
-                               prepare_initial, run_point)
+                               prepare_initial, run_protocol)
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ARTIFACTS = os.path.join(HERE, "artifacts")
@@ -133,7 +133,7 @@ def _frozen_mode_errors(n_per_well, t_int):
                          dz_max=3.0, t_ramp=30.0, t_int=(t_int,),
                          n_r=14, dr=0.3, dz=0.3, z_margin=4.0, dt=0.01)
     prep = prepare_initial(cfg, par, tol=1e-8)
-    point = run_point(cfg, t_int, params=par, prep=prep)
+    (point,) = run_protocol(cfg, params=par, prep=prep)
     m = point.moments
     r = point.result
 
@@ -290,8 +290,7 @@ def test_criterion_7_conservation():
                           t_int=(0.0, 2.0, 4.0), n_r=10, dr=0.4, dz=0.4,
                           z_margin=3.6, dt=0.02)
     prep0 = prepare_initial(cfg0, par0, tol=1e-9)
-    es = [run_point(cfg0, ti, params=par0, prep=prep0).result.e_epr
-          for ti in cfg0.t_int]
+    es = [p.result.e_epr for p in run_protocol(cfg0, params=par0, prep=prep0)]
     g0_err = max(abs(e - 1.0) for e in es)
 
     ok = (norm_drift < 1e-10 and energy_drift < 1e-6

@@ -298,23 +298,25 @@ def test_cli_run_with_oracle(tmp_path):
 def test_cli_chi_solves_independent_of_hold_times(tmp_path, monkeypatch,
                                                   command):
     # chi is sampled on the ramp only, once per grid point: 5 ground states
-    # per sample, however many hold times the config scans
+    # per sample, however many hold times the config scans, each solved to
+    # the config's gs_tol
     import becsteer.oracle4mode
     calls = []
     original = becsteer.oracle4mode.ground_state
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("tol"))
         return original(*args, **kwargs)
     monkeypatch.setattr(becsteer.oracle4mode, "ground_state", counted)
     counts = []
     for t_int in ("0", "0, 0.25, 0.5"):
         calls.clear()
         cfgp = write_tiny(tmp_path, "with_oracle = true\noracle_samples = 3\n"
-                          f"t_int = {t_int} /omega\n")
+                          f"t_int = {t_int} /omega\ngs_tol = 1e-7\n")
         assert main([command, "--config", cfgp,
                      "--out", str(tmp_path / f"out{len(counts)}")]) == 0
         counts.append(len(calls))
+        assert calls == [1e-7] * len(calls)
     assert counts == [15, 15]
 
 
@@ -353,6 +355,17 @@ def test_cli_oracle_fault_marks_point_failed(tmp_path, monkeypatch):
     man = json.loads((out / "manifest.json").read_text())
     assert [p["status"] for p in man["points"]] == ["failed", "failed"]
     assert all("oracle fault" in p["error"] for p in man["points"])
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("losses", ["--workers", "2"]), ("losses", ["--snapshot"]),
+    ("oracle", ["--snapshot"]), ("run", ["--format", "json"])],
+    ids=["losses-workers", "losses-snapshot", "oracle-snapshot", "run-format"])
+def test_cli_refuses_flags_it_would_ignore(tmp_path, command, flag):
+    cfgp = write_tiny(tmp_path)
+    with pytest.raises(SystemExit):
+        main([command, "--config", cfgp, "--out", str(tmp_path / "o")] + flag)
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_losses(tmp_path, capsys):

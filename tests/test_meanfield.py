@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import becsteer.meanfield
 from becsteer.grid import build_grid, integrate, norm
-from becsteer.meanfield import (PROPAGATOR_CUT, FockVector, PhysicalParams,
+from becsteer.meanfield import (PROPAGATOR_CUT, ConvergenceError, FockVector,
+                                IntegrationError, PhysicalParams,
                                 SplitStepEvolver, _cayley, chemical_potential,
                                 energy_fields,
                                 gpe_residual, ground_state, load_snapshot,
@@ -103,6 +105,22 @@ def test_split_step_preserves_norm(grid, par):
         psi = ev.step(psi, ns, trap(grid), trap(grid))
     nrm = np.real(np.sum(grid.weights * np.abs(psi) ** 2, axis=(-2, -1)))
     assert np.abs(nrm - 1.0).max() < 1e-12
+
+
+def test_norm_drift_raises(grid, par):
+    ev = SplitStepEvolver(grid, par.g4(), 0.01)
+    st = ground_state(grid, FockVector(50, 50, 50, 50), trap(grid), par.g4())
+    assert ev.check_norms(st.psi) < 1e-12
+    # a 0.1 % amplitude error is a norm drift of 2e-3
+    with pytest.raises(IntegrationError, match="norm drift"):
+        ev.check_norms(1.001 * st.psi)
+
+
+def test_unconverged_polish_raises(grid, par, monkeypatch):
+    monkeypatch.setattr(becsteer.meanfield, "POLISH_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="after 1 descent iterations"):
+        ground_state(grid, FockVector(50, 50, 0, 0), trap(grid), par.g4(),
+                     relax_iters=0)
 
 
 def test_ground_state_is_stationary_under_real_time(grid, par):

@@ -7,7 +7,7 @@ import pytest
 from becsteer.meanfield import PhysicalParams
 from becsteer.sequence import (PointResult, ProtocolConfig,
                                component_potentials, displacement_schedule,
-                               prepare_initial, ramp_displacement, run_point,
+                               hold_forks, prepare_initial, ramp_displacement,
                                run_protocol, well_separation)
 
 
@@ -106,11 +106,11 @@ def test_prepare_initial_copies_orbitals(prep):
     assert well_separation(grid, psi0) < 0.2
 
 
-def test_run_point_end_to_end():
+def test_one_hold_time_end_to_end():
     # a gentle ramp keeps the clouds coherent so the witness stays near one
-    cfg = tiny_cfg(t_ramp=5.0, dt=0.04)
+    cfg = tiny_cfg(t_ramp=5.0, t_int=(0.5,), dt=0.04)
     pr = prepare_initial(cfg, PhysicalParams(), tol=1e-7)
-    point = run_point(cfg, 0.5, params=PhysicalParams(), prep=pr)
+    (point,) = run_protocol(cfg, params=PhysicalParams(), prep=pr)
     assert point.error is None
     r = point.result
     assert 0.0 < r.e_epr < 3.0
@@ -164,10 +164,10 @@ def test_run_protocol_isolates_failed_points(prep, monkeypatch, tmp_path):
 def test_snapshot_written(prep, tmp_path):
     cfg, pr = prep
     path = tmp_path / "snap.txt"
-    cfg4 = tiny_cfg(snapshot_path=str(path))
-    run_point(cfg4, 0.0, params=PhysicalParams(), prep=pr)
+    ((_, fork),) = hold_forks(cfg, prep=pr)
+    fork.finish(str(path))
     assert path.exists()
     from becsteer.meanfield import load_snapshot
     grid2, psi2, ns2, t2 = load_snapshot(str(path))
     assert psi2.shape == (4,) + grid2.shape
-    assert t2 == pytest.approx(2 * cfg4.t_ramp)
+    assert t2 == pytest.approx(2 * cfg.t_ramp)
