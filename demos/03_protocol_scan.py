@@ -40,7 +40,7 @@ def show(point):
           f"{r.contrast_a:9.4f}  {r.overlap_a:9.4f}")
 
 
-points = run_protocol(cfg, params=par, prep=prep, progress=show)
+points = run_protocol(cfg, prep, progress=show)
 
 good = [p for p in points if p.error is None]
 best = min(good, key=lambda p: p.result.e_epr)

@@ -151,7 +151,7 @@ def _cmd_scan(cfg, args, out_dir):
                 forks = [(k, HoldFork(proto, t, error=rates))
                          for k, t in enumerate(proto.t_int)]
             else:
-                forks = hold_forks(proto, prep=prep, prefixes=grid_prefixes)
+                forks = hold_forks(proto, prep, prefixes=grid_prefixes)
             row_jobs = [None] * len(proto.t_int)
             for k, fork in forks:
                 name = f"snapshot_point{len(jobs) + k}.txt"

@@ -17,9 +17,7 @@ BOHR_RADIUS = 5.2918e-11        # m
 HBAR = 1.054571817e-34          # J s
 MASS_RB87 = 1.44316060e-25      # kg
 
-COMPONENTS = ("a0", "a1", "b0", "b1")
 COMPONENT_STATE = (0, 1, 0, 1)  # internal state of each component
-COMPONENT_WELL = (0, 0, 1, 1)   # well index (a=0, b=1)
 
 NORM_TOL = 1e-6                 # check_norms: largest drift of a norm from 1
 DT_MARGIN = 0.05                # stable_dt: largest (|V| + g n) dt of a step

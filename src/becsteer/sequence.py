@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MIN_POINTS, build_grid, normalized_overlap
-from .meanfield import PhysicalParams, ground_state, save_snapshot, stable_dt
+from .meanfield import ground_state, save_snapshot, stable_dt
 from .fockflow import init_trajectories
 from .correlators import spin_moments, epr_witness
 
 SQ2 = math.sqrt(2.0)
 # a length within this relative distance of a whole number of steps counts as
-# whole (see hold_forks): far above the rounding of length / dt, far below
-# the 1/n of any step count n
+# whole (see hold_forks), and a time this close to the end of a hold holds:
+# far above the rounding of length / dt, far below the 1/n of any step count n
 LATTICE_RTOL = 1e-9
 
 
@@ -104,10 +104,14 @@ def ramp_displacement(t, t_ramp, dz_max):
 
 
 def displacement_schedule(t, t_ramp, t_int, dz_max):
-    """Forward ramp, hold, mirrored backward ramp."""
+    """Forward ramp, hold, mirrored backward ramp; a time within LATTICE_RTOL
+    of the end of the hold still holds."""
     if t <= t_ramp:
         return ramp_displacement(t, t_ramp, dz_max)
-    if t <= t_ramp + t_int:
+    # t accumulates one dt at a time and can pass the end of the hold by
+    # roundoff; with the tolerance of _whole_steps, which puts forks on the
+    # step lattice, every fork of a shared prefix is still on the hold
+    if t <= (t_ramp + t_int) * (1.0 + LATTICE_RTOL):
         return dz_max
     return ramp_displacement(2.0 * t_ramp + t_int - t, t_ramp, dz_max)
 
@@ -135,10 +139,9 @@ def well_separation(grid, psi):
     return normalized_overlap(grid, np.abs(psi[0]) ** 2, np.abs(psi[2]) ** 2)
 
 
-def prepare_initial(cfg, params=None, tol=1e-8):
-    """Ground state before the pulse: all atoms in state 0 of each well."""
-    if params is None:
-        params = PhysicalParams()
+def prepare_initial(cfg, params, tol=1e-8):
+    """Ground state before the pulse: all atoms in state 0 of each well;
+    returns (grid, g4, psi0)."""
     grid = cfg.build_grid()
     g4 = params.g4()
     pots = component_potentials(grid, cfg, 0.0, 0.0)
@@ -149,7 +152,7 @@ def prepare_initial(cfg, params=None, tol=1e-8):
     psi0 = state.psi.copy()
     psi0[1] = psi0[0]
     psi0[3] = psi0[2]
-    return grid, g4, psi0, state
+    return grid, g4, psi0
 
 
 @dataclass
@@ -251,21 +254,13 @@ def _shared_prefix(cfg, prep, dt, members, record):
     in `record`.
 
     The chain follows the schedule of the longest hold, which is every
-    member's schedule before its fork.  At the fork instant the two can
-    differ in the last bit (the accumulated time can pass the end of the
-    hold, where the ramp formula takes over), so such a member is forked a
-    step early and takes that step itself: each fork repeats its one-hold
-    run exactly.
+    member's schedule up to its fork at step m.
     """
-    grid, g4, psi0, _ = prep
+    grid, g4, psi0 = prep
     t_hold = max(cfg.t_int[k] for k, _, _ in members)
 
     def pots(t):
         return component_potentials(grid, cfg, t, t_hold)
-
-    def differs(t, t_int):
-        return (displacement_schedule(t, cfg.t_ramp, t_int, cfg.dz_max)
-                != displacement_schedule(t, cfg.t_ramp, t_hold, cfg.dz_max))
 
     pending = list(members)
     t0 = time.perf_counter()
@@ -274,13 +269,11 @@ def _shared_prefix(cfg, prep, dt, members, record):
                                  beta=cfg.beta)
         while pending:
             k, m, n = pending[0]
-            done = record["steps"]
-            if m == done or (m == done + 1
-                             and differs(traj.t + dt, cfg.t_int[k])):
+            if m == record["steps"]:
                 fork = traj.fork() if len(pending) > 1 else traj
                 pending.pop(0)
                 record["seconds"] += time.perf_counter() - t0
-                yield k, HoldFork(cfg, cfg.t_int[k], fork, dt, n - done)
+                yield k, HoldFork(cfg, cfg.t_int[k], fork, dt, n - m)
                 t0 = time.perf_counter()
             else:
                 traj.advance(pots, dt)
@@ -291,7 +284,7 @@ def _shared_prefix(cfg, prep, dt, members, record):
     record["seconds"] += time.perf_counter() - t0
 
 
-def hold_forks(cfg, params=None, prep=None, prefixes=None):
+def hold_forks(cfg, prep, prefixes=None):
     """Run the protocol to the end of each hold time, sharing the steps.
 
     Hold times share one forward ramp and one continuous hold up to the
@@ -304,11 +297,9 @@ def hold_forks(cfg, params=None, prep=None, prefixes=None):
 
     Which hold times share a prefix, and its step, follow the dt rule in
     the docstring of becsteer.config: a single hold time always steps
-    exactly as a run of its own.
+    exactly as a run of its own.  `prep` is what prepare_initial returns.
     """
-    if prep is None:
-        prep = prepare_initial(cfg, params)
-    grid, g4, psi0, _ = prep
+    grid, g4, psi0 = prep
     try:
         dt = cfg.dt
         if dt is None:
@@ -329,14 +320,14 @@ def hold_forks(cfg, params=None, prep=None, prefixes=None):
         yield from _shared_prefix(cfg, prep, step, members, record)
 
 
-def run_protocol(cfg, params=None, prep=None, progress=None):
+def run_protocol(cfg, prep, progress=None):
     """Scan all hold times; a failed point is recorded, not fatal.
 
     Points come back in the order of cfg.t_int; `progress` sees each as it
     finishes (see hold_forks for that order).
     """
     points = [None] * len(cfg.t_int)
-    for k, fork in hold_forks(cfg, params, prep):
+    for k, fork in hold_forks(cfg, prep):
         try:
             points[k] = fork.finish()
         except Exception as exc:  # noqa: BLE001 - per-point fault isolation

@@ -96,7 +96,7 @@ def test_criterion_2_coherent_baseline():
     par = PhysicalParams()
     cfg = ProtocolConfig(n_a=40, n_b=30, dz_max=4.0, t_ramp=5.0,
                          n_r=10, dr=0.4, dz=0.4, z_margin=3.0)
-    grid, g4, psi0, _ = prepare_initial(cfg, par, tol=1e-8)
+    grid, g4, psi0 = prepare_initial(cfg, par, tol=1e-8)
     traj = init_trajectories(grid, g4, cfg.n_a, cfg.n_b, psi0)
     m = spin_moments(traj.correlator_inputs(C_HALF))
     r = epr_witness(m)
@@ -133,7 +133,7 @@ def _frozen_mode_errors(n_per_well, t_int):
                          dz_max=3.0, t_ramp=30.0, t_int=(t_int,),
                          n_r=14, dr=0.3, dz=0.3, z_margin=4.0, dt=0.01)
     prep = prepare_initial(cfg, par, tol=1e-8)
-    (point,) = run_protocol(cfg, params=par, prep=prep)
+    (point,) = run_protocol(cfg, prep)
     m = point.moments
     r = point.result
 
@@ -290,7 +290,7 @@ def test_criterion_7_conservation():
                           t_int=(0.0, 2.0, 4.0), n_r=10, dr=0.4, dz=0.4,
                           z_margin=3.6, dt=0.02)
     prep0 = prepare_initial(cfg0, par0, tol=1e-9)
-    es = [p.result.e_epr for p in run_protocol(cfg0, params=par0, prep=prep0)]
+    es = [p.result.e_epr for p in run_protocol(cfg0, prep0)]
     g0_err = max(abs(e - 1.0) for e in es)
 
     ok = (norm_drift < 1e-10 and energy_drift < 1e-6

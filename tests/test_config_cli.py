@@ -218,12 +218,14 @@ def test_cli_forked_rows_equal_single_hold_runs(tmp_path, t_ints, dts,
     assert [p["t_int"] for p in man["prefixes"]] == prefixes
 
 
-@pytest.mark.parametrize("t_ints, early", [("0, 0.2, 0.7", 0),
-                                           ("0, 0.5, 1", 1)])
-def test_cli_manifest_counts_every_step(tmp_path, monkeypatch, t_ints, early):
+@pytest.mark.parametrize("t_ints", [
+    "0, 0.2, 0.7", "0, 0.5, 1",
+    ", ".join(f"{k / 20:g}" for k in range(1, 11))])
+def test_cli_manifest_counts_every_step(tmp_path, monkeypatch, t_ints):
     # one forward ramp, the hold up to the longest t_int and one backward
-    # ramp per point; a fork whose schedule rounds apart from the prefix's at
-    # its fork instant (0.5 here) takes its last hold step itself
+    # ramp per point, every fork taken at its own step, also where the
+    # accumulated time passes the end of the hold by roundoff (0.5 here, and
+    # most of the ten holds)
     from becsteer.meanfield import SplitStepEvolver
     calls = []
     real = SplitStepEvolver.step
@@ -237,7 +239,7 @@ def test_cli_manifest_counts_every_step(tmp_path, monkeypatch, t_ints, early):
     shared = round((1.5 + max(ts) + len(ts) * 1.5) / 0.05)
     steps = (sum(p["steps"] for p in man["prefixes"])
              + sum(p["steps"] for p in man["points"]))
-    assert code == 0 and steps == len(calls) == shared + early
+    assert code == 0 and steps == len(calls) == shared
 
 
 def test_cli_worker_count_determinism(tmp_path):

@@ -51,6 +51,11 @@ def test_schedule_hold_and_mirror_symmetry():
         bwd = displacement_schedule(2 * tr + ti - t, tr, ti, dz)
         assert fwd == pytest.approx(bwd, abs=1e-14)
     assert displacement_schedule(2 * tr + ti, tr, ti, dz) == 0.0
+    # a time that accumulated past the end of the hold by roundoff still
+    # holds; one step of 0.05 later the backward ramp has begun
+    t_end = (tr + ti) * (1 + 1e-12)
+    assert displacement_schedule(t_end, tr, ti, dz) == dz
+    assert displacement_schedule(t_end + 0.05, tr, ti, dz) < dz
 
 
 def trap_center(grid, v):
@@ -97,7 +102,7 @@ def prep():
 
 
 def test_prepare_initial_copies_orbitals(prep):
-    cfg, (grid, g4, psi0, state) = prep
+    cfg, (grid, g4, psi0) = prep
     assert np.array_equal(psi0[1], psi0[0])
     assert np.array_equal(psi0[3], psi0[2])
     nrm = np.real(np.sum(grid.weights * np.abs(psi0) ** 2, axis=(-2, -1)))
@@ -110,7 +115,7 @@ def test_one_hold_time_end_to_end():
     # a gentle ramp keeps the clouds coherent so the witness stays near one
     cfg = tiny_cfg(t_ramp=5.0, t_int=(0.5,), dt=0.04)
     pr = prepare_initial(cfg, PhysicalParams(), tol=1e-7)
-    (point,) = run_protocol(cfg, params=PhysicalParams(), prep=pr)
+    (point,) = run_protocol(cfg, pr)
     assert point.error is None
     r = point.result
     assert 0.0 < r.e_epr < 3.0
@@ -149,7 +154,7 @@ def test_run_protocol_isolates_failed_points(prep, monkeypatch, tmp_path):
 
         monkeypatch.setattr(seq, "component_potentials", flaky)
         cfg3 = tiny_cfg(t_int=(0.0, 0.25, 0.5))
-        points = seq.run_protocol(cfg3, params=PhysicalParams(), prep=pr)
+        points = seq.run_protocol(cfg3, pr)
         assert all(isinstance(p, PointResult) for p in points)
         assert [p.error is not None for p in points] == failed
         assert all(f"boom in {where}" in p.error
@@ -164,10 +169,39 @@ def test_run_protocol_isolates_failed_points(prep, monkeypatch, tmp_path):
 def test_snapshot_written(prep, tmp_path):
     cfg, pr = prep
     path = tmp_path / "snap.txt"
-    ((_, fork),) = hold_forks(cfg, prep=pr)
+    ((_, fork),) = hold_forks(cfg, pr)
     fork.finish(str(path))
     assert path.exists()
     from becsteer.meanfield import load_snapshot
     grid2, psi2, ns2, t2 = load_snapshot(str(path))
     assert psi2.shape == (4,) + grid2.shape
     assert t2 == pytest.approx(2 * cfg.t_ramp)
+
+
+def test_scan_without_dt_steps_at_the_stability_rule(prep, monkeypatch):
+    # with dt unset both hold times share one prefix whose step divides the
+    # longest run into the fewest whole steps no longer than stable_dt
+    from becsteer.fockflow import init_trajectories
+    from becsteer.meanfield import SplitStepEvolver, stable_dt
+    _, pr = prep
+    grid, g4, psi0 = pr
+    cfg = tiny_cfg(t_int=(0.0, 0.5), dt=None)
+    ns = init_trajectories(grid, g4, cfg.n_a, cfg.n_b, psi0).ns
+    dt_max = stable_dt(grid, g4, component_potentials(grid, cfg, 0.0, 0.0),
+                       psi0, ns.max(axis=0))
+    total = 2 * cfg.t_ramp + 0.5
+    calls = []
+    real = SplitStepEvolver.step
+
+    def counted(self, *args):
+        calls.append(1)
+        return real(self, *args)
+    monkeypatch.setattr(SplitStepEvolver, "step", counted)
+    prefixes = []
+    points = [fork.finish() for _, fork in hold_forks(cfg, pr, prefixes)]
+    assert [p.error for p in points] == [None, None]
+    (rec,) = prefixes
+    assert rec["dt"] == total / math.ceil(total / dt_max)
+    assert all(p.dt == rec["dt"] for p in points)
+    assert rec["steps"] == round((cfg.t_ramp + 0.5) / rec["dt"])
+    assert rec["steps"] + sum(p.steps for p in points) == len(calls)
