@@ -1,22 +1,22 @@
-"""Batch front end: config ingestion, runs, sweeps, oracle curves, losses.
+"""Batch front end: config ingestion, scans, oracle curves, losses.
 
 Subcommands::
 
     becsteer run    --config fig2a.cfg --out results/ [--workers N] [--snapshot]
-    becsteer sweep  --config sweep.cfg --out results/ [--workers N] [--snapshot]
     becsteer oracle --config fig2a.cfg --out results/
     becsteer losses --config fig3.cfg  --out results/
     becsteer check
 
 `oracle` accepts `--workers` too, and runs in one process whatever its value.
-`run` and `sweep` share one engine: a sweep is a run over the grid
-sweep_n x sweep_dz_max x sweep_t_ramp (an unset axis keeps the config's
-value).  Each grid point gets one ground state, solved to `gs_tol` before
-any point runs; every (grid point, hold time) pair is then one point, and
-`--snapshot` writes snapshot_point{i}.txt over all points in row order.
+`run` scans the grid sweep_n x sweep_dz_max x sweep_t_ramp if the config sets
+a sweep key (an unset axis keeps its value), else the config's own point.
+Each grid point gets one ground state, solved to `gs_tol` before any point
+runs; every (grid point, hold time) pair is then one point, and `--snapshot`
+writes snapshot_point{i}.txt over all points in row order.
 With `with_oracle` each grid point's chi rates are computed here too, once for
 all its hold times: the twisting phases are affine in the hold time.  The
 chi ground states are solved to `gs_tol` as well, here and in `oracle`.
+`oracle` and `losses` read the config's own values and no sweep key.
 
 Results are written as a CSV (12 significant digits, fixed column order, so
 identical configs give byte-identical files regardless of worker count) plus
@@ -48,7 +48,7 @@ from .sequence import (HoldFork, component_potentials, failed_point,
 CSV_COLUMNS = ("t_total_s", "t_int_s", "E_EPR", "alpha_opt", "beta_opt",
                "spin_len_a", "spin_len_b", "overlap_a", "overlap_b",
                "inferred_var_1", "inferred_var_2", "oracle_E_EPR")
-SWEEP_COLUMNS = ("n_a", "n_b", "dz_max", "t_ramp")
+SWEEP_COLUMNS = tuple(k for keys in SWEEP_AXES.values() for k in keys)
 
 
 def _sig(x):
@@ -99,11 +99,11 @@ def _point_job(payload):
     return point, oracle_e, time.time() - t0
 
 
-def _grid_points(cfg, command):
-    """(tag columns, [(tag, values)]): `run` is the single untagged point,
-    `sweep` the product of its axes; an unswept axis keeps the run's value."""
+def _grid_points(cfg):
+    """(tag columns, [(tag, values)]): the config's untagged point, or the
+    product of its sweep axes if it sets any; an unset axis keeps its value."""
     v = cfg.values
-    if command == "run":
+    if not any(v[k] for k in SWEEP_AXES):
         return (), [((), v)]
     axes = [[dict.fromkeys(keys, x) for x in v[name]] if v[name]
             else [{k: v[k] for k in keys}] for name, keys in SWEEP_AXES.items()]
@@ -117,12 +117,12 @@ def _grid_points(cfg, command):
 
 
 def _cmd_scan(cfg, args, out_dir):
-    """`run` and `sweep`: each grid point's ground state (and chi rates) is
-    prepared here first.  Then each grid point's hold times run on shared
-    prefixes here, and each fork's rest is one job, sent to the pool as soon
-    as the fork is taken."""
+    """`run`, over the config's sweep grid or its own point: each grid
+    point's ground state (and chi rates) is prepared here first.  Then each
+    grid point's hold times run on shared prefixes here, and each fork's rest
+    is one job, sent to the pool as soon as the fork is taken."""
     t0 = time.time()
-    tag_columns, points = _grid_points(cfg, args.command)
+    tag_columns, points = _grid_points(cfg)
     prepared, t_prep, t_oracle = [], 0.0, 0.0
     for tag, values in points:
         point_cfg = RunConfig(values)
@@ -237,7 +237,8 @@ def _cmd_losses(cfg, args, out_dir):
                    proto.n_b / 2.0, proto.n_b / 2.0])
     st = ground_state(grid, ns, pots, cfg.params.g4(),
                       tol=cfg.values["gs_tol"])
-    budget = loss_estimate(grid, st.psi, ns, cfg.params, cfg.values["t_loss"])
+    budget = loss_estimate(grid, st.psi, ns, cfg.params,
+                           cfg.values["t_loss"] / cfg.params.omega)
     doc = {
         "t_hold_s": budget.t,
         "rate_1b_atoms_per_s": budget.rate_1b,
@@ -335,18 +336,25 @@ def _cmd_check(args):
     return 0 if ok else 1
 
 
+def _workers(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="becsteer", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("run", "sweep", "oracle", "losses"):
+    for name in ("run", "oracle", "losses"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=".")
         p.add_argument("--set", action="append", default=[],
                        help="override a config key, e.g. --set 'n_a = 50'")
-        if name != "losses":  # oracle ignores it: one command line serves all three
-            p.add_argument("--workers", type=int, default=1)
-        if name in ("run", "sweep"):
+        if name != "losses":  # oracle ignores it: one command line serves both
+            p.add_argument("--workers", type=_workers, default=1)
+        if name == "run":
             p.add_argument("--snapshot", action="store_true")
     sub.add_parser("check")
     args = ap.parse_args(argv)
@@ -356,13 +364,13 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config, overrides=args.set,
-                          trajectories=args.command in ("run", "sweep"))
+                          trajectories=args.command == "run")
     except (OSError, ConfigError) as exc:
         print(f"becsteer: {exc}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
     try:
-        if args.command in ("run", "sweep"):
+        if args.command == "run":
             return _cmd_scan(cfg, args, args.out)
         if args.command == "oracle":
             return _cmd_oracle(cfg, args, args.out)

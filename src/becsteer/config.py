@@ -176,8 +176,8 @@ class RunConfig:
                 lines.append(f"{k} = {v}")
             elif isinstance(v, (list, tuple)):
                 lines.append(f"{k} = {', '.join(f'{x!r}' for x in v)}")
-            elif k in ("tau_1", "t_loss"):
-                lines.append(f"{k} = {v!r} s")  # these two stay in seconds
+            elif k == "tau_1":
+                lines.append(f"{k} = {v!r} s")  # an SI lifetime
             else:
                 lines.append(f"{k} = {v!r}")
         return "\n".join(lines) + "\n"
@@ -244,7 +244,7 @@ def parse_config(text, overrides=(), trajectories=True):
     """Parse config text (plus `--set key=value` overrides) into a RunConfig.
 
     `trajectories` also checks what only building Fock trajectories needs
-    (`run` and `sweep`): the bound on beta.
+    (`run`, over any sweep grid): the bound on beta.
     """
     # required fields get no entry here: the check below catches them unset
     values = {f.name: f.default for f in _PHYSICS + _PROTOCOL
@@ -280,7 +280,7 @@ def parse_config(text, overrides=(), trajectories=True):
         return val
 
     for key, (kind, _, is_list) in _SCHEMA.items():
-        if kind != "time" or key == "t_loss":
+        if kind != "time":
             continue
         v = values[key]
         if v is None:
@@ -289,11 +289,6 @@ def parse_config(text, overrides=(), trajectories=True):
             values[key] = [to_osc(x, key) for x in v]
         else:
             values[key] = to_osc(v, key)
-    # tau_1 and t_loss remain in seconds (loss rates are SI)
-    tl = values["t_loss"]
-    if isinstance(tl, tuple):
-        val, unit = tl
-        values["t_loss"] = val if unit == "s" else val / omega
 
     try:
         cfg = RunConfig(values)        # the dataclasses' range checks

@@ -83,7 +83,7 @@ class TrajectorySet:
 
     # -- public operations ---------------------------------------------------
 
-    def advance(self, potentials, dt, check_norms=True):
+    def advance(self, potentials, dt):
         """One time step of all five configurations plus the Theta quadrature.
 
         potentials is a callable t -> (4, n_r, n_z) stack.
@@ -94,8 +94,7 @@ class TrajectorySet:
         v0 = np.asarray(potentials(self.t), dtype=float)
         v1 = np.asarray(potentials(self.t + dt), dtype=float)
         self.psi = self._evolver.step(self.psi, self.ns, v0, v1)
-        if check_norms:
-            self._evolver.check_norms(self.psi)
+        self._evolver.check_norms(self.psi)
         rate = self._theta_rate()
         self.theta_coeff += 0.5 * dt * (self._theta_rate_prev + rate)
         self._theta_rate_prev = rate

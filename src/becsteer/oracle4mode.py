@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .correlators import _AXES, SpinMoments, epr_witness
-from .meanfield import chemical_potential, ground_state
+from .meanfield import ground_state
 
 
 @dataclass
@@ -140,8 +140,8 @@ def extract_chi(grid, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
 
     def mus(shift):
         occ = ns + shift
-        st = ground_state(grid, occ, potentials, g4, tol=tol, psi0=center.psi)
-        return chemical_potential(grid, st.psi, occ, potentials, g4)
+        return ground_state(grid, occ, potentials, g4, tol=tol,
+                            psi0=center.psi).mu
 
     mu_pa = mus(+dn * u_a)
     mu_ma = mus(-dn * u_a)
@@ -157,18 +157,15 @@ def extract_chi(grid, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
     return chi_a, chi_b, chi_ab, center
 
 
-def adiabatic_rates(cfg, params=None, n_samples=9, dn=None, tol=1e-8):
+def adiabatic_rates(cfg, params, n_samples=9, dn=None, tol=1e-8):
     """(ramp integral, hold rate) of the chi coefficients, each (a, b, ab).
 
     Samples chi along one transport ramp (instantaneous ground states,
     warm-started from neighbouring samples) and integrates it with the
     trapezoidal rule; the hold keeps the end rate (see `twisting_phases`).
     """
-    from .meanfield import PhysicalParams
     from .sequence import component_potentials
 
-    if params is None:
-        params = PhysicalParams()
     grid = cfg.build_grid()
     g4 = params.g4()
     ns = np.array([cfg.n_a / 2.0, cfg.n_a / 2.0, cfg.n_b / 2.0, cfg.n_b / 2.0])

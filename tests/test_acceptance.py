@@ -268,7 +268,7 @@ def test_criterion_7_conservation():
     dt = 0.005
     steps = int(round(25.0 / dt))
     for _ in range(steps):
-        traj.advance(lambda t: pots, dt, check_norms=False)
+        traj.advance(lambda t: pots, dt)
     nrm = np.real(np.sum(grid.weights * np.abs(traj.psi) ** 2, axis=(-2, -1)))
     norm_drift = np.abs(nrm - 1.0).max() / steps
     e1 = energy_fields(grid, traj.psi[traj.CENTER], ns_c, pots, g4)

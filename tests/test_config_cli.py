@@ -45,8 +45,8 @@ def test_parse_shipped_fig3():
     assert v["dz_max"] == pytest.approx(6.0)
     assert v["tau_1"] == pytest.approx(60.0)
     assert v["kappa_11"] == pytest.approx(81e-21)
-    # t_loss stays in seconds
-    assert v["t_loss"] == pytest.approx(0.2)
+    # t_loss = 0.2 s, in 1/omega like every time
+    assert v["t_loss"] == pytest.approx(0.2 * v["omega"])
 
 
 def test_seconds_converted_with_omega():
@@ -361,12 +361,24 @@ def test_cli_oracle_fault_marks_point_failed(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, flag", [
     ("losses", ["--workers", "2"]), ("losses", ["--snapshot"]),
-    ("oracle", ["--snapshot"]), ("run", ["--format", "json"])],
-    ids=["losses-workers", "losses-snapshot", "oracle-snapshot", "run-format"])
+    ("oracle", ["--snapshot"]), ("run", ["--format", "json"]),
+    # a worker count below 1 means nothing: refused, not run in one process
+    ("run", ["--workers", "0"]), ("run", ["--workers", "-1"]),
+    ("oracle", ["--workers", "0"]), ("oracle", ["--workers", "-1"])],
+    ids=["losses-workers", "losses-snapshot", "oracle-snapshot", "run-format",
+         "run-workers-0", "run-workers--1", "oracle-workers-0",
+         "oracle-workers--1"])
 def test_cli_refuses_flags_it_would_ignore(tmp_path, command, flag):
     cfgp = write_tiny(tmp_path)
     with pytest.raises(SystemExit):
         main([command, "--config", cfgp, "--out", str(tmp_path / "o")] + flag)
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_subcommand_is_gone(tmp_path):
+    cfgp = write_tiny(tmp_path, "sweep_n = 20, 30\n")
+    with pytest.raises(SystemExit):
+        main(["sweep", "--config", cfgp, "--out", str(tmp_path / "o")])
     assert not (tmp_path / "o").exists()
 
 
@@ -383,7 +395,7 @@ def test_cli_losses(tmp_path, capsys):
 def test_cli_sweep(tmp_path):
     cfgp = write_tiny(tmp_path, "sweep_n = 20, 30\nt_int = 0 /omega\n")
     out = tmp_path / "swp"
-    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+    assert main(["run", "--config", cfgp, "--out", str(out)]) == 0
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0].startswith("n_a,n_b,dz_max,t_ramp,t_total_s")
     assert len(lines) == 3
@@ -393,7 +405,7 @@ def test_cli_sweep(tmp_path):
 
 def test_cli_bad_sweep_axis_reports_set_line(tmp_path, capsys):
     cfgp = write_tiny(tmp_path)
-    assert main(["sweep", "--config", cfgp, "--out", str(tmp_path / "bad"),
+    assert main(["run", "--config", cfgp, "--out", str(tmp_path / "bad"),
                  "--set", "sweep_n = 0, 20"]) == 1
     err = capsys.readouterr().err
     assert "line --set #1: sweep_n value 0" in err and "fatal" not in err
@@ -417,7 +429,7 @@ def test_cli_sweep_is_run_over_grid(tmp_path, monkeypatch):
     assert main(["run", "--config", cfgp, "--out", str(run_out),
                  "--snapshot"]) == 0
     calls.clear()
-    assert main(["sweep", "--config", cfgp, "--out", str(sweep_out),
+    assert main(["run", "--config", cfgp, "--out", str(sweep_out),
                  "--snapshot", "--set", "sweep_n = 20"]) == 0
     assert len(calls) == 1
     run_lines = (run_out / "results.csv").read_text().splitlines()
@@ -434,7 +446,8 @@ def test_cli_sweep_unswept_axes_keep_config(tmp_path):
     cfgp = write_tiny(tmp_path, "n_b = 24\nt_int = 0 /omega\n")
     run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
     assert main(["run", "--config", cfgp, "--out", str(run_out)]) == 0
-    assert main(["sweep", "--config", cfgp, "--out", str(sweep_out)]) == 0
+    assert main(["run", "--config", cfgp, "--out", str(sweep_out),
+                 "--set", "sweep_t_ramp = 1.5 /omega"]) == 0
     run_row = (run_out / "results.csv").read_text().splitlines()[1]
     sweep_row = (sweep_out / "results.csv").read_text().splitlines()[1]
     assert sweep_row == "20,24,3,1.5," + run_row

@@ -134,6 +134,6 @@ def test_norm_check_runs(setup):
     grid, g4, pots, psi0 = setup
     traj = init_trajectories(grid, g4, 40, 40, psi0)
     for _ in range(10):
-        traj.advance(lambda t: pots, 0.02, check_norms=True)
+        traj.advance(lambda t: pots, 0.02)
     nrm = np.real(np.sum(grid.weights * np.abs(traj.psi) ** 2, axis=(-2, -1)))
     assert np.abs(nrm - 1.0).max() < 1e-12

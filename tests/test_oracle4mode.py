@@ -197,7 +197,7 @@ def test_adiabatic_rates_integrate_known_chi(monkeypatch):
         seen.append(potentials)
         return 1.0, t, t * t, Center()
     monkeypatch.setattr(becsteer.oracle4mode, "extract_chi", fake_chi)
-    ramp, rate = adiabatic_rates(cfg, n_samples=3)
+    ramp, rate = adiabatic_rates(cfg, PhysicalParams(), n_samples=3)
     # trapezoid on unit steps: 1 + 1, (0 + 1)/2 + (1 + 2)/2, (0 + 1)/2 + (1 + 4)/2
     assert ramp.tolist() == [2.0, 2.0, 3.0]
     assert rate.tolist() == [1.0, 2.0, 4.0]
