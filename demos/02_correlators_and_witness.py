@@ -31,8 +31,7 @@ psi0[1] = psi0[0]
 psi0[3] = psi0[2]
 
 traj = init_trajectories(grid, g4, n, n, psi0)
-for _ in range(60):
-    traj.advance(lambda t: pots, 0.01)
+traj.run(lambda t: pots, 0.01, 60)
 print(f"evolved to t = {traj.t:.2f}/omega; "
       f"theta(1,0) = {traj.theta(1, 0):+.3e}")
 

@@ -16,7 +16,7 @@ writes snapshot_point{i}.txt over all points in row order.
 With `with_oracle` each grid point's chi rates are computed here too, once for
 all its hold times: the twisting phases are affine in the hold time.  The
 chi ground states are solved to `gs_tol` as well, here and in `oracle`.
-`oracle` and `losses` read the config's own values and no sweep key.
+`oracle` and `losses` read the config's own values and refuse a sweep key.
 
 Results are written as a CSV (12 significant digits, fixed column order, so
 identical configs give byte-identical files regardless of worker count) plus
@@ -179,7 +179,9 @@ def _cmd_scan(cfg, args, out_dir):
                            r.spin_len_b, r.overlap_a, r.overlap_b,
                            r.inferred_var_1, r.inferred_var_2, oracle_e))
         notes.append({**note, "status": "ok", "dt": point.dt,
-                      "steps": point.steps, "seconds": dt_s})
+                      "steps": point.steps,
+                      "separation_end": point.separation_end,
+                      "seconds": dt_s})
     _write_table(os.path.join(out_dir, "results.csv"),
                  tag_columns + CSV_COLUMNS, rows)
     timings = {"prepare": t_prep, "total": time.time() - t0}
@@ -304,8 +306,7 @@ def _cmd_check(args):
         st = gs["st"]
         traj = init_trajectories(grid, g4, 20, 20, st.psi, beta=1)
         C = np.ones(4) / math.sqrt(2)
-        for _ in range(40):
-            traj.advance(lambda t: V, 0.01)
+        traj.run(lambda t: V, 0.01, 40)
         assert abs(traj.theta(1, 1) + traj.theta(-1, -1)) < 1e-14
         assert traj.theta(0, 0) == 0.0
         inp = traj.correlator_inputs(C)

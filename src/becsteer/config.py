@@ -243,8 +243,9 @@ def _parse_value(key, raw, lineno):
 def parse_config(text, overrides=(), trajectories=True):
     """Parse config text (plus `--set key=value` overrides) into a RunConfig.
 
-    `trajectories` also checks what only building Fock trajectories needs
-    (`run`, over any sweep grid): the bound on beta.
+    `trajectories` is for `run`, which builds Fock trajectories over its
+    sweep grid: it checks the bound on beta.  Without it a set sweep key is
+    an error, since only `run` scans a sweep grid.
     """
     # required fields get no entry here: the check below catches them unset
     values = {f.name: f.default for f in _PHYSICS + _PROTOCOL
@@ -271,7 +272,7 @@ def parse_config(text, overrides=(), trajectories=True):
 
     omega = values["omega"]
 
-    def to_osc(pair, key):
+    def to_osc(pair):
         if pair is None:
             return None
         val, unit = pair if isinstance(pair, tuple) else (pair, None)
@@ -286,9 +287,9 @@ def parse_config(text, overrides=(), trajectories=True):
         if v is None:
             continue
         if is_list:
-            values[key] = [to_osc(x, key) for x in v]
+            values[key] = [to_osc(x) for x in v]
         else:
-            values[key] = to_osc(v, key)
+            values[key] = to_osc(v)
 
     try:
         cfg = RunConfig(values)        # the dataclasses' range checks
@@ -298,6 +299,9 @@ def parse_config(text, overrides=(), trajectories=True):
         line = seen.get(str(exc).partition(" ")[0], "?")
         raise ConfigError(f"line {line}: {exc}") from None
     for key, fields in SWEEP_AXES.items():
+        if values[key] and not trajectories:
+            raise ConfigError(f"line {seen[key]}: {key} sets a sweep axis, "
+                              f"which only `run` scans")
         for v in values[key] or ():
             try:
                 cfg.protocol(**dict.fromkeys(fields, v))

@@ -24,6 +24,7 @@ EDGE_TOL = 1e-12      # largest weight at a window edge that truncates, over the
 HERM_TOL = 1e-6       # largest imaginary part of a spin moment, over N (N^2 if second)
 ANGLE_TOL = 1e-6      # epr_witness: golden-section stopping width of each angle
 MIN_CONTRAST = 1e-6   # epr_witness: smallest well-b contrast with a defined witness
+PSD_TOL = 1e-12       # epr_witness: most negative covariance eigenvalue / max|eig|
 
 
 class TruncationError(RuntimeError):
@@ -537,7 +538,9 @@ def epr_witness(m):
 
     Coarse 2-degree grid scan over [0, pi)^2 followed by coordinatewise
     golden-section refinement.  Raises WitnessUndefinedError when the mean
-    spin of the inferring well has collapsed (witness denominator ~ 0).
+    spin of the inferring well has collapsed (witness denominator ~ 0), or
+    when the moments are not those of a state: a quadrature covariance that
+    is not positive semidefinite, or a negative squared witness.
     """
     len_b = m.spin_length("b")
     if 2.0 * len_b / max(m.n_b, 1) < MIN_CONTRAST:
@@ -545,6 +548,11 @@ def epr_witness(m):
             f"well-b contrast {2.0 * len_b / max(m.n_b, 1):.2e} below "
             f"{MIN_CONTRAST:.0e}; witness denominator vanishes")
     cov4 = _cov4(m)
+    eig = np.linalg.eigvalsh(cov4)
+    if eig[0] < -PSD_TOL * np.abs(eig).max():
+        raise WitnessUndefinedError(
+            f"quadrature covariance has eigenvalue {eig[0]:.3e} against "
+            f"{np.abs(eig).max():.3e}; the moments are not those of a state")
 
     grid = np.arange(0.0, math.pi, math.pi / 90.0)
     aa, bb = np.meshgrid(grid, grid, indexing="ij")
@@ -563,12 +571,14 @@ def epr_witness(m):
         half = max(10.0 * ANGLE_TOL, half * 0.25)
 
     e2 = float(_witness_sq(cov4, len_b, np.asarray(alpha), np.asarray(beta)))
+    if e2 < 0.0:
+        raise WitnessUndefinedError(f"squared witness {e2:.3e} is negative")
     var_a, var_a90, var_b, var_b90, cov_ab, cov_ab90 = \
         _quadratures(cov4, alpha, beta)
     inf1 = float(var_b - cov_ab ** 2 / var_a)
     inf2 = float(var_b90 - cov_ab90 ** 2 / var_a90)
     return EPRResult(
-        e_epr=math.sqrt(max(e2, 0.0)),
+        e_epr=math.sqrt(e2),
         alpha=alpha % math.pi,
         beta=beta % math.pi,
         spin_len_a=m.spin_length("a"),

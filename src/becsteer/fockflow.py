@@ -56,8 +56,7 @@ class TrajectorySet:
         # relative to the central one (per component), for 2pi unwrapping
         self._mean_phase = np.zeros(shape)
         self._raw_prev = np.zeros(shape)
-        self._evolver = None
-        self._evolver_dt = None
+        self.steps = 0
 
     # -- low-level helpers ---------------------------------------------------
 
@@ -83,28 +82,27 @@ class TrajectorySet:
 
     # -- public operations ---------------------------------------------------
 
-    def advance(self, potentials, dt):
-        """One time step of all five configurations plus the Theta quadrature.
-
-        potentials is a callable t -> (4, n_r, n_z) stack.
-        """
-        if self._evolver is None or self._evolver_dt != dt:
-            self._evolver = SplitStepEvolver(self.grid, self.g4, dt)
-            self._evolver_dt = dt
-        v0 = np.asarray(potentials(self.t), dtype=float)
-        v1 = np.asarray(potentials(self.t + dt), dtype=float)
-        self.psi = self._evolver.step(self.psi, self.ns, v0, v1)
-        self._evolver.check_norms(self.psi)
-        rate = self._theta_rate()
-        self.theta_coeff += 0.5 * dt * (self._theta_rate_prev + rate)
-        self._theta_rate_prev = rate
-        self._update_mean_phases()
-        self.t += dt
+    def run(self, potentials, dt, steps):
+        """`steps` time steps of all five configurations plus the Theta
+        quadrature; potentials is a callable t -> (4, n_r, n_z) stack, called
+        steps + 1 times (a step's v(t + dt) is the next step's v(t))."""
+        evolver = SplitStepEvolver(self.grid, self.g4, dt)
+        v1 = np.asarray(potentials(self.t), dtype=float)
+        for _ in range(steps):
+            v0, v1 = v1, np.asarray(potentials(self.t + dt), dtype=float)
+            self.psi = evolver.step(self.psi, self.ns, v0, v1)
+            evolver.check_norms(self.psi)
+            rate = self._theta_rate()
+            self.theta_coeff += 0.5 * dt * (self._theta_rate_prev + rate)
+            self._theta_rate_prev = rate
+            self._update_mean_phases()
+            self.t += dt
+            self.steps += 1
 
     def fork(self):
         """An independent copy of the evolving state: wavefunctions, Theta
-        coefficients and rate, mean-phase unwrap data and time.  The grid,
-        the occupations and the propagator are shared."""
+        coefficients and rate, mean-phase unwrap data, time and step count.
+        The grid and the occupations are shared."""
         new = copy.copy(self)
         for name in ("psi", "theta_coeff", "_theta_rate_prev", "_mean_phase",
                      "_raw_prev"):

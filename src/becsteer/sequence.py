@@ -200,8 +200,7 @@ class HoldFork:
         def pots(t):
             return component_potentials(traj.grid, cfg, t, t_int)
 
-        for _ in range(self.steps):
-            traj.advance(pots, self.dt)
+        traj.run(pots, self.dt, self.steps)
         inp = traj.correlator_inputs(cfg.pulse_amplitudes(),
                                      window_sigmas=cfg.window_sigmas)
         point = PointResult(t_int=t_int, t_total=2.0 * cfg.t_ramp + t_int,
@@ -248,40 +247,34 @@ def _scan_plan(cfg, dt):
     return ([(dt_scan, shared)] if shared else []) + plan
 
 
-def _shared_prefix(cfg, prep, dt, members, record):
-    """One forward ramp and one hold at step dt, forked at each member's end
-    of hold; yields (index, HoldFork) and counts its own steps and seconds
-    in `record`.
+def _shared_prefix(cfg, traj, dt, members, record):
+    """One forward ramp and one hold at step dt from traj, forked at each
+    member's end of hold; yields (index, HoldFork) and counts its own steps
+    and seconds in `record`.
 
     The chain follows the schedule of the longest hold, which is every
-    member's schedule up to its fork at step m.
+    member's schedule up to its fork at step m.  The last member takes the
+    chain itself.
     """
-    grid, g4, psi0 = prep
     t_hold = max(cfg.t_int[k] for k, _, _ in members)
 
     def pots(t):
-        return component_potentials(grid, cfg, t, t_hold)
+        return component_potentials(traj.grid, cfg, t, t_hold)
 
-    pending = list(members)
     t0 = time.perf_counter()
     try:
-        traj = init_trajectories(grid, g4, cfg.n_a, cfg.n_b, psi0,
-                                 beta=cfg.beta)
-        while pending:
-            k, m, n = pending[0]
-            if m == record["steps"]:
-                fork = traj.fork() if len(pending) > 1 else traj
-                pending.pop(0)
-                record["seconds"] += time.perf_counter() - t0
-                yield k, HoldFork(cfg, cfg.t_int[k], fork, dt, n - m)
-                t0 = time.perf_counter()
-            else:
-                traj.advance(pots, dt)
-                record["steps"] += 1
+        for i, (k, m, n) in enumerate(members):
+            traj.run(pots, dt, m - traj.steps)
+            fork = traj.fork() if i + 1 < len(members) else traj
+            record["steps"] = traj.steps
+            record["seconds"] += time.perf_counter() - t0
+            yield k, HoldFork(cfg, cfg.t_int[k], fork, dt, n - m)
+            t0 = time.perf_counter()
     except Exception as exc:  # noqa: BLE001 - fails the forks not yet taken
-        for k, _, _ in pending:
+        record["steps"] = traj.steps
+        record["seconds"] += time.perf_counter() - t0
+        for k, _, _ in members[i:]:
             yield k, HoldFork(cfg, cfg.t_int[k], error=exc)
-    record["seconds"] += time.perf_counter() - t0
 
 
 def hold_forks(cfg, prep, prefixes=None):
@@ -298,13 +291,14 @@ def hold_forks(cfg, prep, prefixes=None):
     Which hold times share a prefix, and its step, follow the dt rule in
     the docstring of becsteer.config: a single hold time always steps
     exactly as a run of its own.  `prep` is what prepare_initial returns.
+    Every prefix starts from one TrajectorySet built here.
     """
     grid, g4, psi0 = prep
     try:
+        traj = init_trajectories(grid, g4, cfg.n_a, cfg.n_b, psi0,
+                                 beta=cfg.beta)
         dt = cfg.dt
         if dt is None:
-            traj = init_trajectories(grid, g4, cfg.n_a, cfg.n_b, psi0,
-                                     beta=cfg.beta)
             pots0 = component_potentials(grid, cfg, 0.0, 0.0)
             dt = stable_dt(grid, g4, pots0, psi0, traj.ns.max(axis=0))
         plan = _scan_plan(cfg, dt)
@@ -312,12 +306,13 @@ def hold_forks(cfg, prep, prefixes=None):
         for k, t_int in enumerate(cfg.t_int):
             yield k, HoldFork(cfg, t_int, error=exc)
         return
-    for step, members in plan:
+    for i, (step, members) in enumerate(plan):
         record = {"t_int": [cfg.t_int[k] for k, _, _ in members], "dt": step,
                   "steps": 0, "seconds": 0.0}
         if prefixes is not None:
             prefixes.append(record)
-        yield from _shared_prefix(cfg, prep, step, members, record)
+        start = traj.fork() if i + 1 < len(plan) else traj
+        yield from _shared_prefix(cfg, start, step, members, record)
 
 
 def run_protocol(cfg, prep, progress=None):

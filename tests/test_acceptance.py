@@ -1,9 +1,11 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
-The two full-scale witness scans (criteria 4 and 5) are expensive (roughly
-1.5 h and 1 h on one CPU). Their tests reuse a cached CSV under artifacts/
-if one exists; deleting the directory forces a clean regeneration with the
-exact same command the test would run.
+The two full-scale witness scans (criteria 4 and 5) are expensive (about
+8 and 2.5 min as `becsteer run --workers 2` on 2 CPUs). Their tests reuse a
+cached CSV under artifacts/ if one exists, and fail if its manifest echoes
+another config than today's parse of the config file; deleting the
+directory forces a clean regeneration with the same command the test would
+run.
 """
 
 import json
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from becsteer.cli import main as cli_main
+from becsteer.config import load_config
 from becsteer.correlators import (MultiIndex, brute_force_average, epr_witness,
                                   fock_sum_average, spin_moments)
 from becsteer.fockflow import central_fock, init_trajectories
@@ -165,19 +168,39 @@ def test_criterion_3_oracle_convergence():
 # ---------------------------------------------------------------------------
 
 def _scan_rows(config_name, tag):
-    """Load the cached scan CSV, producing it with the CLI if absent."""
+    """Load the cached scan CSV, producing it with the CLI if absent; a
+    cache made from another config than today's fails."""
+    cfg_path = os.path.join(HERE, "configs", config_name)
     out_dir = os.path.join(ARTIFACTS, tag)
     csv_path = os.path.join(out_dir, "results.csv")
     if not os.path.exists(csv_path):
-        code = cli_main(["run", "--config",
-                         os.path.join(HERE, "configs", config_name),
-                         "--out", out_dir])
+        code = cli_main(["run", "--config", cfg_path, "--out", out_dir])
         assert code == 0, f"scan of {config_name} failed with exit {code}"
+    with open(os.path.join(out_dir, "manifest.json")) as fh:
+        echo = json.load(fh)["config_echo"]
+    assert echo == load_config(cfg_path).echo(), (
+        f"{out_dir} echoes another config than configs/{config_name} parses "
+        f"to today; regenerate it: becsteer run --config "
+        f"configs/{config_name} --out artifacts/{tag} --workers 2")
     with open(csv_path) as fh:
         header = fh.readline().strip().split(",")
         rows = [dict(zip(header, map(float, line.split(","))))
                 for line in fh if line.strip()]
     return rows
+
+
+def test_stale_scan_cache_fails(tmp_path, monkeypatch):
+    # a cached scan whose manifest echoes a config the parser no longer
+    # gives is refused, not read
+    _scan_rows("fig3.cfg", "fig3")
+    shutil.copytree(os.path.join(ARTIFACTS, "fig3"), tmp_path / "fig3")
+    monkeypatch.setitem(globals(), "ARTIFACTS", str(tmp_path))
+    path = tmp_path / "fig3" / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["config_echo"] += "sample_stride = 0\n"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(AssertionError, match="regenerate it"):
+        _scan_rows("fig3.cfg", "fig3")
 
 
 def _refined_extrema_spacing(ts, ys, kind):
@@ -267,8 +290,7 @@ def test_criterion_7_conservation():
     e0 = energy_fields(grid, traj.psi[traj.CENTER], ns_c, pots, g4)
     dt = 0.005
     steps = int(round(25.0 / dt))
-    for _ in range(steps):
-        traj.advance(lambda t: pots, dt)
+    traj.run(lambda t: pots, dt, steps)
     nrm = np.real(np.sum(grid.weights * np.abs(traj.psi) ** 2, axis=(-2, -1)))
     norm_drift = np.abs(nrm - 1.0).max() / steps
     e1 = energy_fields(grid, traj.psi[traj.CENTER], ns_c, pots, g4)

@@ -375,6 +375,16 @@ def test_cli_refuses_flags_it_would_ignore(tmp_path, command, flag):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["oracle", "losses"])
+def test_cli_refuses_sweep_keys_it_would_drop(tmp_path, capsys, command):
+    # only run scans a sweep grid; refused before the output directory
+    cfgp = write_tiny(tmp_path, "oracle_phi_ab = 0, 0.01\nsweep_n = 20, 30\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfgp, "--out", str(out)]) == 1
+    assert "becsteer: line 13: sweep_n " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_sweep_subcommand_is_gone(tmp_path):
     cfgp = write_tiny(tmp_path, "sweep_n = 20, 30\n")
     with pytest.raises(SystemExit):

@@ -228,6 +228,18 @@ def test_witness_undefined_for_collapsed_spin():
         epr_witness(m)
 
 
+def test_witness_undefined_for_invalid_covariance():
+    # a covariance with a negative eigenvalue belongs to no state: its
+    # squared witness goes negative, which must not read as E_EPR = 0
+    mean = np.array([5.0, 0.0, 0.0, 5.0, 0.0, 0.0])
+    cov = np.diag(np.full(6, 2.5))
+    cov[2, 5] = cov[5, 2] = 4.0           # eigenvalues 6.5 and -1.5
+    m = SpinMoments(mean=mean, second=cov + np.outer(mean, mean),
+                    n_a=10, n_b=10)
+    with pytest.raises(WitnessUndefinedError, match="not those of a state"):
+        epr_witness(m)
+
+
 def test_inferred_variances_positive():
     inp = synthetic_inputs(12, 12, seed=11, grad_scale=0.05)
     r = epr_witness(spin_moments(inp))

@@ -54,8 +54,7 @@ def test_five_configurations(setup):
 def test_theta_zero_and_antisymmetric(setup):
     grid, g4, pots, psi0 = setup
     traj = init_trajectories(grid, g4, 40, 40, psi0)
-    for _ in range(30):
-        traj.advance(lambda t: pots, 0.01)
+    traj.run(lambda t: pots, 0.01, 30)
     assert traj.theta(0, 0) == 0.0
     for pa, pb in ((1, 0), (0, 1), (2, -1), (3, 3)):
         assert traj.theta(pa, pb) == -traj.theta(-pa, -pb)
@@ -67,8 +66,7 @@ def test_theta_rate_scale(setup):
     # combination is the much smaller difference of near-equal couplings
     grid, g4, pots, psi0 = setup
     traj = init_trajectories(grid, g4, 40, 40, psi0)
-    for _ in range(20):
-        traj.advance(lambda t: pots, 0.01)
+    traj.run(lambda t: pots, 0.01, 20)
     # per-partner rate is (g/2) int n_a n_a' with unit-normalized densities
     dens_scale = float(np.sum(grid.weights * np.abs(psi0[0]) ** 4))
     coeff_rate = np.abs(traj.theta_coeff).max() / traj.t
@@ -89,12 +87,10 @@ def test_gradients_zero_initially(setup):
 def test_gradients_grow_and_overlap_shrinks(setup):
     grid, g4, pots, psi0 = setup
     traj = init_trajectories(grid, g4, 40, 40, psi0)
-    for _ in range(50):
-        traj.advance(lambda t: pots, 0.01)
+    traj.run(lambda t: pots, 0.01, 50)
     g1 = traj.phase_gradients()
     ov1 = abs(traj.correlator_inputs(C).displaced_overlap(0, 1, 0))
-    for _ in range(50):
-        traj.advance(lambda t: pots, 0.01)
+    traj.run(lambda t: pots, 0.01, 50)
     g2 = traj.phase_gradients()
     ov2 = abs(traj.correlator_inputs(C).displaced_overlap(0, 1, 0))
     dens = np.abs(traj.psi[traj.CENTER, 0]) ** 2
@@ -112,9 +108,8 @@ def test_gradient_matches_finite_difference_of_beta(setup):
     grid, g4, pots, psi0 = setup
     t1 = init_trajectories(grid, g4, 40, 40, psi0, beta=1)
     t2 = init_trajectories(grid, g4, 40, 40, psi0, beta=2)
-    for _ in range(40):
-        t1.advance(lambda t: pots, 0.01)
-        t2.advance(lambda t: pots, 0.01)
+    t1.run(lambda t: pots, 0.01, 40)
+    t2.run(lambda t: pots, 0.01, 40)
     g1 = t1.phase_gradients()
     g2 = t2.phase_gradients()
     dens = np.abs(t1.psi[t1.CENTER, 0]) ** 2
@@ -130,10 +125,37 @@ def test_density_overlap_unity_for_identical_components(setup):
     assert traj.density_overlap("b") == pytest.approx(1.0, abs=1e-12)
 
 
+def test_run_in_parts_equals_one_run(setup):
+    # consecutive runs step exactly as one: each opens with the potential at
+    # its own start time and then passes each step's closing potential on
+    grid, g4, pots, psi0 = setup
+    calls = []
+
+    def p(t):
+        calls.append(t)
+        return pots * (1.0 + 0.3 * np.sin(t))
+
+    state = ("psi", "theta_coeff", "_mean_phase", "t", "steps")
+    whole = init_trajectories(grid, g4, 40, 40, psi0)
+    whole.run(p, 0.01, 7)
+    assert len(calls) == 8
+    parts = init_trajectories(grid, g4, 40, 40, psi0)
+    for steps in (3, 0, 4):
+        before = [np.copy(getattr(parts, k)) for k in state]
+        calls.clear()
+        parts.run(p, 0.01, steps)
+        assert len(calls) == steps + 1
+        if steps == 0:
+            for b, k in zip(before, state):
+                assert np.array_equal(b, getattr(parts, k)), k
+    for k in state:
+        assert np.array_equal(getattr(parts, k), getattr(whole, k)), k
+    assert parts.steps == 7 and parts.fork().steps == 7
+
+
 def test_norm_check_runs(setup):
     grid, g4, pots, psi0 = setup
     traj = init_trajectories(grid, g4, 40, 40, psi0)
-    for _ in range(10):
-        traj.advance(lambda t: pots, 0.02)
+    traj.run(lambda t: pots, 0.02, 10)
     nrm = np.real(np.sum(grid.weights * np.abs(traj.psi) ** 2, axis=(-2, -1)))
     assert np.abs(nrm - 1.0).max() < 1e-12

@@ -131,7 +131,8 @@ def test_run_protocol_isolates_failed_points(prep, monkeypatch, tmp_path):
     # t_int 0, 0.25, 0.5 share one prefix that runs the 0.5 schedule; each
     # fork runs its own.  A fault in the 0.25 fork fails that point only; a
     # fault in the shared hold between the first two forks fails both later
-    # forks with its error.  `becsteer run` exits 2 either way.
+    # forks with its error.  `becsteer run` exits 2 either way, and the
+    # prefix record counts the steps the prefix took.
     cfg, pr = prep
     import becsteer.sequence as seq
     from becsteer.cli import main
@@ -145,8 +146,8 @@ def test_run_protocol_isolates_failed_points(prep, monkeypatch, tmp_path):
             "t_int = 0, 0.25, 0.5 /omega\nn_r = 8\ndr = 0.45 a0\n"
             "dz = 0.45 a0\nz_margin = 2.5 a0\ndt = 0.05 /omega\n")
     (tmp_path / "tiny.cfg").write_text(text)
-    for where, failed in (("fork", [False, True, False]),
-                          ("hold", [False, True, True])):
+    for where, failed, steps in (("fork", [False, True, False], 40),
+                                 ("hold", [False, True, True], 31)):
         def flaky(grid, c, t, t_int, fault=faults[where]):
             if fault(t, t_int):
                 raise RuntimeError(f"boom in {where}")
@@ -164,6 +165,7 @@ def test_run_protocol_isolates_failed_points(prep, monkeypatch, tmp_path):
                      "--out", str(out)]) == 2
         man = json.loads((out / "manifest.json").read_text())
         assert [p["status"] == "failed" for p in man["points"]] == failed
+        assert [rec["steps"] for rec in man["prefixes"]] == [steps]
 
 
 def test_snapshot_written(prep, tmp_path):
