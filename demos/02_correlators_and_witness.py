@@ -5,7 +5,7 @@ interacting wells, lets them dephase for a short while, then evaluates the
 spin moments two ways — the fast windowed Fock sum and the brute-force
 splitting sum — and optimizes the two-angle steering witness.
 
-Run:  python3 demos/02_correlators_and_witness.py   (~1 min)
+Run:  python3 demos/02_correlators_and_witness.py   (~2 s)
 """
 
 import math

@@ -6,7 +6,7 @@ chi_b and a cross-well rate chi_ab. This script extracts the rates from
 displaced ground-state solves, shows the closed-form one-axis-twisting check,
 and plots (in text) the exact witness against the accumulated cross phase.
 
-Run:  python3 demos/04_oracle_curves.py   (~2 min)
+Run:  python3 demos/04_oracle_curves.py   (~2 s)
 """
 
 import math

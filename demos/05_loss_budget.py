@@ -5,7 +5,7 @@ the state-1 cloud of well b (the configuration held during the interaction
 time), evaluates one-, two- and three-body loss rates on the frozen
 densities, and integrates them over a hold of 0.2 s.
 
-Run:  python3 demos/05_loss_budget.py   (~1 min)
+Run:  python3 demos/05_loss_budget.py   (~2 s)
 """
 
 import numpy as np

@@ -25,6 +25,8 @@ HERM_TOL = 1e-6       # largest imaginary part of a spin moment, over N (N^2 if 
 ANGLE_TOL = 1e-6      # epr_witness: golden-section stopping width of each angle
 MIN_CONTRAST = 1e-6   # epr_witness: smallest well-b contrast with a defined witness
 PSD_TOL = 1e-12       # epr_witness: most negative covariance eigenvalue / max|eig|
+CHEB_CUT = 1e-17      # largest |eps_n J_n(k s)| a slot table's expansion drops
+CHEB_NOISE = 8.0      # FFT tail past that order allowed, in eps (1 + max|k s|)
 
 
 class TruncationError(RuntimeError):
@@ -94,6 +96,7 @@ class CorrelatorInputs:
     window_sigmas: float = 8.0
     window: tuple = None
     _cache: dict = field(default_factory=dict, repr=False)
+    _bessel: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
         if np.any(np.abs(self.C) < 1e-300):
@@ -164,10 +167,10 @@ class CorrelatorInputs:
 
         A density-like slot (gs == ds) has Xt = 0, so every entry is the one
         number sum_x w B exp(i m . Ybar): it is returned as a zero-stride
-        read-only view of that number.  Otherwise the rows exp(i k Xt) come
-        from one exp per field and the recurrence
-        e^{i(k+1)Xt} = e^{ikXt} e^{iXt} outward from k = 0, negative k being
-        the conjugates; J is then one matrix product.
+        read-only view of that number.  Otherwise the phase rows of each
+        well factor as exp(i k Xt_s) = A_s T_s (_jacobi_anger), so that
+        J = A_a [T_a diag(w B exp(i m . Ybar)) T_b^T] A_b^T: the sum over
+        cells runs over expansion orders, not over the window.
         """
         key = (gs, ds, m_a, m_b, ks_a[0], ks_a[-1], ks_b[0], ks_b[-1])
         hit = self._cache.get(key)
@@ -187,24 +190,87 @@ class CorrelatorInputs:
         else:
             xt_a = sum((ds[a] - gs[a]) * self.grad[a, 0] for a in range(4))
             xt_b = sum((ds[a] - gs[a]) * self.grad[a, 1] for a in range(4))
-            ea = _phase_rows(ks_a, xt_a)
-            ea *= base
-            table = ea @ _phase_rows(ks_b, xt_b).T
+            coef_a, basis_a = _jacobi_anger(ks_a, xt_a, self._bessel)
+            coef_b, basis_b = _jacobi_anger(ks_b, xt_b, self._bessel)
+            # the real bases take the real and imaginary parts of base
+            # stacked, in one real product
+            parts = basis_a[:, None] * np.stack([base.real, base.imag])
+            mid = (parts.reshape(-1, base.size) @ basis_b.T).reshape(
+                len(basis_a), 2, len(basis_b))
+            table = np.linalg.multi_dot(
+                [coef_a, mid[:, 0] + 1j * mid[:, 1], coef_b.T])
         self._cache[key] = table
         return table
 
 
-def _phase_rows(ks, xt):
-    """exp(i k xt) for the consecutive integers ks, shape (ks.size, xt.size),
-    by a running product outward from k = 0."""
-    n = max(-ks[0], ks[-1])
-    rows = np.empty((n + 1, xt.size), complex)
-    rows[0] = 1.0
-    np.cumprod(np.broadcast_to(np.exp(1j * xt), (n, xt.size)), axis=0,
-               out=rows[1:])
-    rows = rows[np.abs(ks)]
-    np.conjugate(rows, out=rows, where=ks[:, None] < 0)
-    return rows
+def _bessel_order(z):
+    """Highest order n of the Jacobi-Anger expansion of exp(i z u) that
+    keeps every dropped 2 |J_m(z)|, m > n, below CHEB_CUT.
+
+    Kapteyn's inequality |J_m(m sech a)| <= exp(m (tanh a - a)), m > z,
+    bounds the tail; the bound falls monotonically in m."""
+    if z == 0.0:
+        return 0
+    m = np.arange(math.floor(z) + 1, 2 * math.ceil(z) + 64)
+    a = np.arccosh(m / z)
+    below = m * (np.tanh(a) - a) < math.log(0.5 * CHEB_CUT)
+    return int(m[np.argmax(below)]) - 1
+
+
+def _bessel_rows(s, kmax):
+    """J_n(k s) for k = 0 .. kmax and n = 0 .. _bessel_order(kmax s),
+    shape (kmax + 1, n + 1).
+
+    One FFT over phi of exp(i k s sin phi) gives every row: its n-th
+    Fourier coefficient is J_n(k s).  The samples are a power of two past
+    2 n + 32, so the orders that alias onto 0 .. n lie past the cut too,
+    and what the FFT returns past order n must be rounding noise, else
+    TruncationError: the expansion never drops a tail it has not bounded.
+    """
+    z = s * np.arange(kmax + 1)
+    n = _bessel_order(z[-1])
+    size = 1 << (2 * n + 32).bit_length()
+    phi = (2.0 * math.pi / size) * np.arange(size)
+    spec = np.fft.fft(np.exp(1j * np.multiply.outer(z, np.sin(phi))), axis=1)
+    spec /= size
+    tail = np.abs(spec[:, n + 1:size - n]).max()
+    if not tail <= CHEB_NOISE * np.finfo(float).eps * (1.0 + z[-1]):
+        raise TruncationError(
+            f"Jacobi-Anger tail {tail:.2e} past order {n} at |k s| = "
+            f"{z[-1]:.4g} is not rounding noise")
+    return spec[:, :n + 1].real.copy()      # the copy frees the FFT buffer
+
+
+def _jacobi_anger(ks, xt, memo):
+    """exp(i k xt) for the consecutive integers ks as coef @ basis.
+
+    With s = max|xt| and u = xt / s, the Jacobi-Anger expansion
+    exp(i k s u) = sum_n eps_n i^n J_n(k s) T_n(u) (eps_0 = 1, else 2)
+    gives coef[j, n] = eps_n i^n J_n(ks[j] s), shape (ks.size, n + 1), and
+    the real basis[n] = T_n(u) by the Chebyshev recurrence, shape
+    (n + 1, xt.size); n is _bessel_order(max|k| s).  The _bessel_rows of
+    each (s, max|k|) are kept in the dict memo: the slots of one well
+    share their Xt up to sign, so a few serve every table.
+    """
+    s = float(np.abs(xt).max())
+    kmax = int(max(-ks[0], ks[-1]))
+    rows = memo.get((s, kmax))
+    if rows is None:
+        rows = memo[s, kmax] = _bessel_rows(s, kmax)
+    n = rows.shape[1] - 1
+    eps_i = np.array([2, 2j, -2, -2j])[np.arange(n + 1) % 4]
+    eps_i[0] = 1.0
+    coef = rows[np.abs(ks)] * eps_i
+    coef[ks < 0, 1::2] *= -1.0          # J_n(-z) = (-1)^n J_n(z)
+    basis = np.empty((n + 1, xt.size))
+    basis[0] = 1.0
+    if n:
+        basis[1] = xt / s
+        twice = 2.0 * basis[1]
+        for m in range(1, n):
+            np.multiply(twice, basis[m], out=basis[m + 1])
+            basis[m + 1] -= basis[m - 1]
+    return coef, basis
 
 
 def fock_sum_average(inp, idx):
@@ -245,9 +311,9 @@ def fock_sum_average(inp, idx):
     j1 = inp._slot_table(idx.gamma, idx.delta, m_a, m_b, ks_a, ks_b)
     if idx.two_position:
         j2 = inp._slot_table(idx.gamma_p, idx.delta_p, m_a, m_b, ks_a, ks_b)
-        core = np.einsum("i,j,ij,ij->", w_a, w_b, j1, j2)
+        core = w_a @ (j1 * j2) @ w_b
     else:
-        core = np.einsum("i,j,ij->", w_a, w_b, j1)
+        core = w_a @ j1 @ w_b
     return complex(glob * core)
 
 

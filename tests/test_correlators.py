@@ -5,6 +5,7 @@ import pytest
 
 from becsteer.grid import build_grid
 from becsteer.fockflow import central_fock
+from becsteer import correlators
 from becsteer.correlators import (CorrelatorInputs, MultiIndex, SpinMoments,
                                   TruncationError, WitnessUndefinedError,
                                   brute_force_average, epr_witness,
@@ -88,7 +89,9 @@ def test_fast_path_matches_brute_force_odd_wells_complex_pulse():
 def production_inputs():
     """N = 4000 per well (window 507 per well) on smooth random fields,
     scaled so that the largest |k Xt| of the a0^dag a1 and b1^dag b0 slots,
-    over both wells, is 400 rad (fig3 at N = 4000 reaches 373 rad)."""
+    over both wells, is 400 rad.  fig3 at N = 4000 reaches 373 rad when
+    stepped at dt = 0.05, the benchmark's step; at the committed dt = 0.004
+    it reaches 5-14 rad."""
     rng = np.random.default_rng(0)
     m = 2000
     x = np.linspace(-1.0, 1.0, m)
@@ -141,6 +144,48 @@ def test_slot_table_at_production_size(gs, ds, m_a, m_b):
     assert np.abs(table - ref).max() <= 1e-12 * np.abs(ref).max()
     if gs == ds:
         assert table.strides == (0, 0)
+
+
+def expanded_rows(ks, xt):
+    """exp(i k xt) rebuilt from the factors _jacobi_anger returns."""
+    coef, basis = correlators._jacobi_anger(ks, xt, {})
+    return coef @ basis
+
+
+def smooth_field(peak, m=3001):
+    """A smooth field on m cells with max|xt| = peak, its extremum inside."""
+    x = np.linspace(-1.0, 1.0, m)
+    xt = np.cos(2.3 * x + 0.4) + 0.3 * np.sin(7.1 * x) * x
+    return xt * (peak / np.abs(xt).max())
+
+
+@pytest.mark.parametrize("ks,peak", [
+    *((np.arange(-253, 254), z / 253) for z in (0.0, 1.0, 50.0, 400.0, 600.0)),
+    (np.arange(-250, 254), 0.4), (np.arange(-253, 3), 0.4),
+    (np.array([7]), 0.4), (np.array([-5]), 0.4), (np.array([0]), 0.4)])
+def test_jacobi_anger_matches_direct_exp(ks, peak):
+    xt = smooth_field(peak)
+    rows = expanded_rows(ks, xt)
+    assert rows.shape == (ks.size, xt.size)
+    # both sides round phases of up to max|k s| rad (the direct exp its
+    # argument, the expansion its FFT samples and u = xt / s), so past
+    # ~150 rad a few ulp of the phase exceed 1e-13
+    tol = max(1e-13, 3.0 * np.finfo(float).eps * peak * np.abs(ks).max())
+    assert np.abs(rows - np.exp(1j * np.multiply.outer(ks, xt))).max() <= tol
+
+
+def test_jacobi_anger_of_zero_field():
+    # coherent_inputs: identical orbitals and no gradients give Xt = 0
+    coef, basis = correlators._jacobi_anger(np.arange(-30, 31), np.zeros(50), {})
+    assert basis.shape == (1, 50)
+    assert np.all(coef == 1.0) and np.all(basis == 1.0)
+
+
+def test_jacobi_anger_tail_guard_raises(monkeypatch):
+    # an order short of the Bessel tail must raise, not drop the tail
+    monkeypatch.setattr(correlators, "_bessel_order", lambda z: int(z) // 2)
+    with pytest.raises(TruncationError, match="tail"):
+        correlators._jacobi_anger(np.arange(-100, 101), smooth_field(0.5), {})
 
 
 def coherent_inputs(n_a, n_b):
