@@ -127,28 +127,34 @@ def _cmd_scan(cfg, args, out_dir):
     for tag, values in points:
         point_cfg = RunConfig(values)
         proto = point_cfg.protocol()
+        # a fault of the ground state or of the chi rates fails this grid
+        # point's rows only (Exception: a BaseException still ends the run)
+        prep = rates = error = None
         t1 = time.time()
-        prep = prepare_initial(proto, point_cfg.params, tol=values["gs_tol"])
+        try:
+            prep = prepare_initial(proto, point_cfg.params,
+                                   tol=values["gs_tol"])
+        except Exception as exc:  # noqa: BLE001 - fails its points
+            error = exc
         t_prep += time.time() - t1
-        rates = None
-        if values["with_oracle"]:
+        if values["with_oracle"] and error is None:
             t1 = time.time()
             try:
                 rates = oracle4mode.adiabatic_rates(
                     proto, point_cfg.params, values["oracle_samples"],
                     values["oracle_dn"], tol=values["gs_tol"])
             except Exception as exc:  # noqa: BLE001 - fails its points
-                rates = exc
+                error = exc
             t_oracle += time.time() - t1
-        prepared.append((tag, proto, prep, rates))
+        prepared.append((tag, proto, prep, rates, error))
 
     jobs, prefixes = [], []
     with (ProcessPoolExecutor(max_workers=args.workers) if args.workers > 1
           else contextlib.nullcontext()) as pool:
-        for tag, proto, prep, rates in prepared:
+        for tag, proto, prep, rates, error in prepared:
             grid_prefixes = []
-            if isinstance(rates, Exception):
-                forks = [(k, HoldFork(proto, t, error=rates))
+            if error is not None:
+                forks = [(k, HoldFork(proto, t, error=error))
                          for k, t in enumerate(proto.t_int)]
             else:
                 forks = hold_forks(proto, prep, prefixes=grid_prefixes)

@@ -7,6 +7,10 @@ a displacement-linear reduced phase), the average of any one- or two-body
 operator collapses to a small window of splitting terms around the mean,
 evaluated here with vectorized slot integrals.
 
+The six collective spins are one coefficient table over the ladder pairs
+psi_c^dag psi_a.  Their first and second moments are contractions of that
+table with the distinct one-body and two-slot averages, each evaluated once.
+
 A brute-force evaluator that walks the full superposition with explicit
 per-configuration wavefunction arrays is provided for cross-checking at
 small atom number; it shares no arithmetic with the fast path.
@@ -401,62 +405,19 @@ def brute_force_average(inp, idx):
 # ---------------------------------------------------------------------------
 # spin operators and their first and second moments
 
-def _ladder_terms(op, well):
-    """One-body spin operator as [(coeff, create_comp, annihilate_comp)]."""
-    base = 0 if well == "a" else 2
-    if op == "x":
-        return [(0.5, base, base + 1), (0.5, base + 1, base)]
-    if op == "y":
-        return [(-0.5j, base, base + 1), (0.5j, base + 1, base)]
-    if op == "z":
-        return [(0.5, base + 1, base + 1), (-0.5, base, base)]
-    raise ValueError(f"unknown spin axis {op!r}")
-
-
-def _unit(i):
-    e = [0, 0, 0, 0]
-    e[i] = 1
-    return tuple(e)
-
-
-def _pair_exponents(c1, a1, c2, a2):
-    """Exponent tuples of psi^dag_c1 psi_a1 psi^dag_c2 psi_a2 normal ordered.
-
-    Returns (double-slot index, contact index or None).  The commutator
-    [psi_a1(r), psi^dag_c2(r')] = delta_{a1 c2} delta(r - r') produces the
-    single-position contact piece.
-    """
-    g = _unit(c1)
-    d = _unit(a1)
-    gp = _unit(c2)
-    dp = _unit(a2)
-    double = MultiIndex(gamma=g, delta=d, gamma_p=gp, delta_p=dp)
-    contact = MultiIndex(gamma=_unit(c1), delta=_unit(a2)) if a1 == c2 else None
-    return double, contact
-
-
-def operator_mean(inp, terms, evaluator=fock_sum_average):
-    """Average of a one-body operator given as ladder terms."""
-    out = 0.0 + 0.0j
-    for coeff, c, a in terms:
-        out += coeff * evaluator(inp, MultiIndex(gamma=_unit(c), delta=_unit(a)))
-    return out
-
-
-def operator_pair_mean(inp, terms1, terms2, evaluator=fock_sum_average):
-    """Average of the product O1 O2 of two one-body operators."""
-    out = 0.0 + 0.0j
-    for c1f, c1, a1 in terms1:
-        for c2f, c2, a2 in terms2:
-            double, contact = _pair_exponents(c1, a1, c2, a2)
-            val = evaluator(inp, double)
-            if contact is not None:
-                val += evaluator(inp, contact)
-            out += c1f * c2f * val
-    return out
-
-
 _AXES = [("x", "a"), ("y", "a"), ("z", "a"), ("x", "b"), ("y", "b"), ("z", "b")]
+
+# S_i = sum_{c,a} SPIN[i, c, a] psi_c^dag psi_a, axes in _AXES order, over the
+# components (a0, a1, b0, b1).  x and y take a0^dag a1 as the raising
+# operator, but z is (n1 - n0)/2: the opposite sign of oracle4mode's S_z
+# (ROADMAP F4), so that [S_x, S_y] = -i S_z here.
+SPIN = np.zeros((6, 4, 4), complex)
+SPIN[:3, :2, :2] = SPIN[3:, 2:, 2:] = 0.5 * np.array(
+    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[-1, 0], [0, 1]]])
+
+# the (c, a) pairs some S_i reads: the 8 within-well pairs
+_PAIRS = list(zip(*np.nonzero(SPIN.any(axis=0))))
+_EYE = [tuple(int(k == c) for k in range(4)) for c in range(4)]
 
 
 @dataclass
@@ -489,30 +450,40 @@ class SpinMoments:
 
 
 def spin_moments(inp, evaluator=fock_sum_average):
-    """All first and second moments of the collective spins of both wells."""
-    terms = [_ladder_terms(op, well) for op, well in _AXES]
-    mean = np.empty(6)
+    """All first and second moments of the collective spins of both wells.
+
+    With G1[c, a] = <psi_c^dag psi_a> and the two-slot
+    D[c, a, c', a'] = <psi_c^dag psi_c'^dag psi_a psi_a'>, the means are
+    SPIN : G1 and the products are
+    <S_i S_j> = SPIN_i SPIN_j : D + (SPIN_i @ SPIN_j) : G1, whose second,
+    contact term comes from [psi_a(r), psi_c'^dag(r')] = delta_ac'
+    delta(r - r') in normal ordering.  Each distinct term is evaluated once:
+    G1 on the 8 pairs SPIN reads, D on the 36 unordered couples of them and
+    mirrored, since swapping the two slots leaves a term unchanged.
+    """
+    g1 = np.zeros((4, 4), complex)
+    for c, a in _PAIRS:
+        g1[c, a] = evaluator(inp, MultiIndex(_EYE[c], _EYE[a]))
+    d = np.zeros((4, 4, 4, 4), complex)
+    for k, (c, a) in enumerate(_PAIRS):
+        for cp, ap in _PAIRS[k:]:
+            d[c, a, cp, ap] = d[cp, ap, c, a] = evaluator(inp, MultiIndex(
+                _EYE[c], _EYE[a], gamma_p=_EYE[cp], delta_p=_EYE[ap]))
+    mean = np.einsum("ica,ca->i", SPIN, g1)
+    pair = (np.einsum("ica,jdb,cadb->ij", SPIN, SPIN, d)
+            + np.einsum("ica,jab,cb->ij", SPIN, SPIN, g1))
+    pair = 0.5 * (pair + pair.T)
+
     scale = 0.5 * (inp.nbar.n_a + inp.nbar.n_b)
-    for i in range(6):
-        v = operator_mean(inp, terms[i], evaluator)
+    for v in mean:
         if abs(v.imag) > HERM_TOL * max(scale, 1.0):
             raise RuntimeError(f"spin mean has imaginary part {v.imag:.3e}")
-        mean[i] = v.real
-    second = np.empty((6, 6))
-    for i in range(6):
-        for j in range(i, 6):
-            vij = operator_pair_mean(inp, terms[i], terms[j], evaluator)
-            if j > i:
-                vji = operator_pair_mean(inp, terms[j], terms[i], evaluator)
-            else:
-                vji = vij
-            sym = 0.5 * (vij + vji)
-            if abs(sym.imag) > HERM_TOL * max(scale * scale, 1.0):
-                raise RuntimeError(
-                    f"symmetrized second moment ({i},{j}) has imaginary part "
-                    f"{sym.imag:.3e}")
-            second[i, j] = second[j, i] = sym.real
-    return SpinMoments(mean=mean, second=second,
+    for i, j in zip(*np.triu_indices(6)):
+        if abs(pair[i, j].imag) > HERM_TOL * max(scale * scale, 1.0):
+            raise RuntimeError(
+                f"symmetrized second moment ({i},{j}) has imaginary part "
+                f"{pair[i, j].imag:.3e}")
+    return SpinMoments(mean=mean.real.copy(), second=pair.real.copy(),
                        n_a=inp.nbar.n_a, n_b=inp.nbar.n_b)
 
 

@@ -180,8 +180,8 @@ class HoldFork:
     """A scan's state at the end of one hold time.
 
     What is left of the point is `steps` steps of `dt` (its backward ramp)
-    and the measurement.  When the shared prefix failed, `error` holds its
-    exception and there is no state.
+    and the measurement.  When the grid point's set-up or shared prefix
+    failed, `error` holds its exception and there is no state.
     """
 
     cfg: ProtocolConfig

@@ -345,18 +345,30 @@ def test_cli_oracle_runs_below_the_beta_bound(tmp_path, extra):
     assert main(["run", "--config", cfgp, "--out", str(tmp_path / "r")]) == 1
 
 
-def test_cli_oracle_fault_marks_point_failed(tmp_path, monkeypatch):
-    import becsteer.oracle4mode
+@pytest.mark.parametrize("module, name", [
+    ("oracle4mode", "adiabatic_rates"), ("cli", "prepare_initial")],
+    ids=["adiabatic_rates", "prepare_initial"])
+def test_cli_oracle_fault_marks_point_failed(tmp_path, monkeypatch, module,
+                                             name):
+    # a grid point's set-up fault fails its own rows; the others are written
+    mod = getattr(becsteer, module)
+    original = getattr(mod, name)
 
-    def broken(*args, **kwargs):
-        raise RuntimeError("oracle fault")
-    monkeypatch.setattr(becsteer.oracle4mode, "adiabatic_rates", broken)
-    cfgp = write_tiny(tmp_path, "with_oracle = true\n")
-    out = tmp_path / "run_orc_fault"
+    def broken(proto, *args, **kwargs):
+        if proto.n_a == 30:
+            raise RuntimeError("set-up fault")
+        return original(proto, *args, **kwargs)
+    monkeypatch.setattr(mod, name, broken)
+    cfgp = write_tiny(tmp_path, "with_oracle = true\nsweep_n = 20, 30\n")
+    out = tmp_path / "run_fault"
     assert main(["run", "--config", cfgp, "--out", str(out)]) == 2
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["20", "20"]
+    assert all(r.split(",")[-1] != "nan" for r in rows)    # oracle E_EPR
     man = json.loads((out / "manifest.json").read_text())
-    assert [p["status"] for p in man["points"]] == ["failed", "failed"]
-    assert all("oracle fault" in p["error"] for p in man["points"])
+    assert [(p["n_a"], p["status"]) for p in man["points"]] == [
+        (20, "ok"), (20, "ok"), (30, "failed"), (30, "failed")]
+    assert all("set-up fault" in p["error"] for p in man["points"][2:])
 
 
 @pytest.mark.parametrize("command, flag", [

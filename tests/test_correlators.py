@@ -11,6 +11,7 @@ from becsteer.correlators import (CorrelatorInputs, MultiIndex, SpinMoments,
                                   brute_force_average, epr_witness,
                                   fock_sum_average, quadrature_moments,
                                   spin_moments)
+from becsteer.oracle4mode import oracle_moments, pulse_state
 
 
 def synthetic_inputs(n_a, n_b, seed=0, grad_scale=0.03, window=None,
@@ -207,6 +208,35 @@ def test_coherent_state_moments_at_t0():
     assert cov[2, 2] == pytest.approx(10.0, abs=1e-8)   # var Sz_a = N/4
     assert cov[5, 5] == pytest.approx(7.5, abs=1e-8)
     assert abs(cov[1, 4]) < 1e-8 and abs(cov[2, 5]) < 1e-8
+
+
+@pytest.mark.parametrize("n_a, n_b, C", [
+    (20, 20, [math.cos(0.5), math.sin(0.5), math.cos(0.5), math.sin(0.5)]),
+    (40, 30, [1.0, np.exp(0.4j), 1.0, np.exp(-0.9j)] / np.sqrt(2.0))],
+    ids=["real-20", "phased-40-30"])
+def test_spin_moments_match_four_mode_model(n_a, n_b, C):
+    # the moment assembly against an independent model: oracle4mode applies
+    # the spin operators to Fock amplitudes, sharing no code with SPIN
+    inp = coherent_inputs(n_a, n_b)
+    inp.C = np.asarray(C, complex)
+    m = spin_moments(inp)
+    ref = oracle_moments(pulse_state(n_a, n_b, C))
+    # the two S_z have opposite signs (ROADMAP F4); its fix makes this the
+    # identity
+    d = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
+    assert np.abs(m.mean - d @ ref.mean).max() <= 1e-12
+    assert np.abs(m.second - d @ ref.second @ d).max() <= 1e-11
+
+
+def test_spin_moments_evaluate_each_term_once():
+    calls = []
+
+    def counted(inp, idx):
+        calls.append(idx)
+        return fock_sum_average(inp, idx)
+    spin_moments(synthetic_inputs(6, 6), evaluator=counted)
+    # 8 one-body terms and 36 unordered couples of them
+    assert len(calls) == 44 and len(set(calls)) == 44
 
 
 def test_witness_unity_at_t0():
