@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .meanfield import FockVector
 
@@ -31,6 +30,25 @@ MIN_CONTRAST = 1e-6   # epr_witness: smallest well-b contrast with a defined wit
 PSD_TOL = 1e-12       # epr_witness: most negative covariance eigenvalue / max|eig|
 CHEB_CUT = 1e-17      # largest |eps_n J_n(k s)| a slot table's expansion drops
 CHEB_NOISE = 8.0      # FFT tail past that order allowed, in eps (1 + max|k s|)
+
+
+def binomial_weights(n, c0, c1):
+    """Number distribution of a coherent spin state: the normalized
+    C(n, k) |c0|^{2k} |c1|^{2(n-k)} for k = 0 .. n.
+
+    Built in the log domain from the neighbour ratios, summed outward from
+    the mode, so nothing overflows at any n and the weights near the peak
+    carry only a few ulp.  Both amplitudes must be nonzero.
+    """
+    k = np.arange(n)
+    # log w[k + 1] - log w[k]
+    lr = np.log((n - k) / (k + 1.0)) + 2.0 * (math.log(abs(c0))
+                                              - math.log(abs(c1)))
+    m = int(np.count_nonzero(lr > 0))    # the weights rise up to m, then fall
+    logw = np.concatenate((-np.cumsum(lr[:m][::-1])[::-1], [0.0],
+                           np.cumsum(lr[m:])))
+    w = np.exp(logw)
+    return w / w.sum()
 
 
 class TruncationError(RuntimeError):
@@ -141,13 +159,17 @@ class CorrelatorInputs:
         if lo > hi:
             return np.zeros(0, dtype=int), np.zeros(0)
         ks = np.arange(lo, hi + 1)
-        # exact coefficient weight N! / ((N_s0 - d0)! (N_s1 - d1)!) |C|^{2 N};
-        # this absorbs both the binomial amplitudes and the ladder factorials
-        logw = (gammaln(n + 1)
-                - gammaln(n0 + ks - d0 + 1) - gammaln(n1 - ks - d1 + 1)
-                + 2.0 * (n0 + ks) * math.log(abs(c0))
-                + 2.0 * (n1 - ks) * math.log(abs(c1)))
-        wts = np.exp(logw)
+        # coefficient weight N! / ((N_s0 - d0)! (N_s1 - d1)!) |c0|^{2 N_s0}
+        # |c1|^{2 N_s1} at |c0|^2 + |c1|^2 = 1: the binomial weight of
+        # N_s0 = n0 + k (binomial_weights, shared with the four-mode oracle)
+        # times the ladder falling factorials N_s0!/(N_s0 - d0)! and
+        # N_s1!/(N_s1 - d1)!
+        j = n0 + ks
+        wts = binomial_weights(n, c0, c1)[j]
+        for i in range(d0):
+            wts = wts * (j - i)
+        for i in range(d1):
+            wts = wts * (n - j - i)
         # a significant weight at a window edge that actually truncates the
         # physical range means the window is too small
         top = wts.max()

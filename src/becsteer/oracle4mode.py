@@ -7,15 +7,16 @@ Fock basis.  This module evolves that model exactly (amplitudes on the
 chemical-potential derivatives of the mean-field ground states, and reuses
 the witness machinery on the exact moments.  It provides both the adiabatic
 analytic curves and a small-N correctness oracle for the full pipeline.
+The pulse state's number distribution is `correlators.binomial_weights`, the
+same weight that every term of the correlators' Fock sum carries.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .correlators import _AXES, SpinMoments, epr_witness
+from .correlators import _AXES, SpinMoments, binomial_weights, epr_witness
 from .meanfield import ground_state
 
 
@@ -29,7 +30,7 @@ class FourModeState:
 
     def __post_init__(self):
         nrm = np.sum(np.abs(self.c) ** 2)
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:
             raise ValueError(f"state norm {nrm!r} differs from 1")
 
     def sz_values(self):
@@ -39,13 +40,17 @@ class FourModeState:
 
 
 def pulse_state(n_a, n_b, C):
-    """Product of two coherent spin states with pulse amplitudes C."""
+    """Product of two coherent spin states with pulse amplitudes C.
+
+    Each well's amplitudes are the square roots of `binomial_weights` times
+    the exactly unit-modulus phases exp(i (k arg c0 + (n - k) arg c1)).
+    """
     C = np.asarray(C, dtype=complex)
 
     def well(n, c0, c1):
         k = np.arange(n + 1)
-        logmag = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-        return np.exp(logmag) * c0 ** k * c1 ** (n - k)
+        phase = k * np.angle(c0) + (n - k) * np.angle(c1)
+        return np.sqrt(binomial_weights(n, c0, c1)) * np.exp(1j * phase)
 
     c = np.outer(well(n_a, C[0], C[1]), well(n_b, C[2], C[3]))
     return FourModeState(c=c, n_a=n_a, n_b=n_b)

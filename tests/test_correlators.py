@@ -258,6 +258,23 @@ def test_default_window_covers_distribution():
     fock_sum_average(inp, ONE_BODY)
 
 
+@pytest.mark.parametrize("dplus", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0),
+                                   (1, 1, 0, 0), (2, 0, 0, 0)])
+def test_window_weights_exact_at_production_size(dplus):
+    # N!/((N_a0 - d0)! (N_a1 - d1)!) 2^-N in exact integer arithmetic (the
+    # int / int division rounds once); a few ulp of log N! ~ 2.9e4 carried
+    # through exp bound the float weights by 1e-10
+    n = 4000
+    inp = synthetic_inputs(n, n)
+    ks, wts = inp._well_ks("a", dplus)
+    assert inp.window[0] == 253 and ks.size == 2 * 253 + 1
+    n0, fact_n = inp.nbar.n_a0, math.factorial(n)
+    for k, w in zip(ks, wts):
+        a, b = n0 + k - dplus[0], n - n0 - k - dplus[1]
+        exact = fact_n / (math.factorial(a) * math.factorial(b) * 2 ** n)
+        assert w == pytest.approx(exact, rel=1e-10)
+
+
 def test_pulse_amplitude_enters_one_body_mean():
     C = np.array([0.8, 0.6, 1 / math.sqrt(2), 1 / math.sqrt(2)])
     inp = synthetic_inputs(30, 30, grad_scale=0.0, theta=(0.0, 0.0), C=C)

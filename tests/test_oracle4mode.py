@@ -13,17 +13,29 @@ from becsteer.oracle4mode import (FourModeState, adiabatic_rates, casimir,
 from becsteer.sequence import ProtocolConfig, component_potentials
 
 C_HALF = np.ones(4) / math.sqrt(2.0)
+C_PHASED = np.array([1.0, np.exp(0.4j), 1.0, np.exp(-0.9j)]) / math.sqrt(2.0)
 
 
-def test_pulse_state_normalized():
-    st = pulse_state(25, 31, C_HALF)
+@pytest.mark.parametrize("C", [C_HALF, C_PHASED], ids=["half", "phased"])
+@pytest.mark.parametrize("n_a, n_b", [(25, 31), (800, 800), (2040, 4),
+                                      (4000, 4)])
+def test_pulse_state_normalized(n_a, n_b, C):
+    # the binomial weights stay finite and normalized at a few thousand
+    # atoms per well, where C(n, k) alone overflows a double
+    st = pulse_state(n_a, n_b, C)
     assert np.sum(np.abs(st.c) ** 2) == pytest.approx(1.0, abs=1e-13)
+    m = oracle_moments(st)
+    # a coherent spin state on the equator: full length, binomial S_z
+    assert math.hypot(m.mean[0], m.mean[1]) == pytest.approx(n_a / 2,
+                                                             rel=1e-12)
+    assert m.cov[2, 2] == pytest.approx(n_a / 4, rel=1e-12)
 
 
 def test_norm_validation():
-    c = np.ones((3, 3), complex)
-    with pytest.raises(ValueError):
-        FourModeState(c=c, n_a=2, n_b=2)
+    for fill in (1.0, math.nan):
+        c = np.full((3, 3), fill, complex)
+        with pytest.raises(ValueError):
+            FourModeState(c=c, n_a=2, n_b=2)
 
 
 def test_t0_moments_and_witness():
