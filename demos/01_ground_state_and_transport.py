@@ -44,11 +44,13 @@ evo = SplitStepEvolver(grid, par.g4(), dt)
 
 z_mean_hist = []
 t = 0.0
+# each step ends with the full nonlinear phase at its end time, so the state
+# is opened once with half a phase; densities need no closing half phase
+psi = evo.phase(psi, ns_ev, component_potentials(grid, cfg, t, 0.0), 0.5)
 print("\n  t      trap center   cloud <z>")
 for step in range(int(cfg.t_ramp / dt)):
-    v0 = component_potentials(grid, cfg, t, 0.0)
     v1 = component_potentials(grid, cfg, t + dt, 0.0)
-    psi = evo.step(psi, ns_ev, v0, v1)
+    psi = evo.step(psi, ns_ev, v1)
     t += dt
     if (step + 1) % 100 == 0:
         dens = np.abs(psi[0]) ** 2

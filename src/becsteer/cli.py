@@ -186,6 +186,8 @@ def _cmd_scan(cfg, args, out_dir):
                            r.inferred_var_1, r.inferred_var_2, oracle_e))
         notes.append({**note, "status": "ok", "dt": point.dt,
                       "steps": point.steps,
+                      "norm_drift": point.norm_drift,
+                      "unwrap_step": point.unwrap_step,
                       "separation_end": point.separation_end,
                       "seconds": dt_s})
     _write_table(os.path.join(out_dir, "results.csv"),

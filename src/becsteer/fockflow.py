@@ -29,7 +29,19 @@ def _wrap(x):
 
 
 class TrajectorySet:
-    """Five Fock configurations, their 20 wavefunctions, and the phase data."""
+    """Five Fock configurations, their 20 wavefunctions, and the phase data.
+
+    `run` steps an open working state (see SplitStepEvolver): it carries the
+    half phase of its own time, which `_pending` = (evolver, v) records.
+    Only the phases differ between it and the closed state, so the norm
+    check, the Theta rate and the density overlaps read it directly.  `psi`
+    is the closed state, computed when it is read.  Before the first run
+    the working state is closed and `_pending` is None.
+
+    `norm_drift` and `unwrap_step` are the largest norm drift and the
+    largest per-step mean-phase increment met so far: the step's margin
+    against NORM_TOL and the unwrap's margin against pi.
+    """
 
     # (d_a, d_b) in units of beta: the centre, then a+, a-, b+, b-
     OFFSETS = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -47,7 +59,8 @@ class TrajectorySet:
         if np.any(self.ns < 0):
             raise DisplacementError("displaced configuration has negative occupation")
         shape = (len(self.OFFSETS), 4)
-        self.psi = np.broadcast_to(psi0, shape + grid.shape).astype(complex).copy()
+        self._psi = np.broadcast_to(psi0, shape + grid.shape).astype(complex).copy()
+        self._pending = None
         self.t = 0.0
         # Theta(Delta) = Delta . theta_coeff ; exactly zero at t = 0
         self.theta_coeff = np.zeros(4)
@@ -57,12 +70,14 @@ class TrajectorySet:
         self._mean_phase = np.zeros(shape)
         self._raw_prev = np.zeros(shape)
         self.steps = 0
+        self.norm_drift = 0.0
+        self.unwrap_step = 0.0
 
     # -- low-level helpers ---------------------------------------------------
 
     def _theta_rate(self):
         """d(theta_coeff)/dt from the central configuration densities."""
-        dens = np.abs(self.psi[self.CENTER]) ** 2
+        dens = np.abs(self._psi[self.CENTER]) ** 2
         pair = np.array([[np.real(integrate(self.grid, dens[a] * dens[b]))
                           for b in range(4)] for a in range(4)])
         rate = np.zeros(4)
@@ -73,25 +88,53 @@ class TrajectorySet:
         return rate
 
     def _update_mean_phases(self):
-        # the axis configurations are the ones after the centre
-        ov = np.sum(self.grid.weights * np.conj(self.psi[self.CENTER])
-                    * self.psi[1:], axis=(-2, -1))
+        # the axis configurations are the ones after the centre.  This reads
+        # the open state: its relative phases differ from the closed ones by
+        # the small pending half phase, which phase_gradients absorbs as it
+        # takes angle() relative to _raw_prev
+        ov = np.sum(self.grid.weights * np.conj(self._psi[self.CENTER])
+                    * self._psi[1:], axis=(-2, -1))
         raw = np.angle(ov)
-        self._mean_phase[1:] += _wrap(raw - self._raw_prev[1:])
+        inc = _wrap(raw - self._raw_prev[1:])
+        self.unwrap_step = max(self.unwrap_step, float(np.abs(inc).max()))
+        self._mean_phase[1:] += inc
         self._raw_prev[1:] = raw
+
+    def _open(self, dt, v):
+        """The evolver of steps of dt, with the working state open at v: kept
+        if it already is, else closed and opened afresh."""
+        if self._pending is not None:
+            evolver, v_open = self._pending
+            if evolver.dt == dt and np.array_equal(v_open, v):
+                return evolver
+            self._psi = self.psi
+        evolver = SplitStepEvolver(self.grid, self.g4, dt)
+        self._psi = evolver.phase(self._psi, self.ns, v, 0.5)
+        self._pending = (evolver, v)
+        return evolver
 
     # -- public operations ---------------------------------------------------
 
     def run(self, potentials, dt, steps):
         """`steps` time steps of all five configurations plus the Theta
         quadrature; potentials is a callable t -> (4, n_r, n_z) stack, called
-        steps + 1 times (a step's v(t + dt) is the next step's v(t))."""
-        evolver = SplitStepEvolver(self.grid, self.g4, dt)
-        v1 = np.asarray(potentials(self.t), dtype=float)
+        steps + 1 times.
+
+        One nonlinear phase per step: the working state is opened with half
+        a phase at v(t), unless the last run left it open at the same dt and
+        an equal v(t), and each step ends with the full phase at v(t + dt).
+        The state stays open after the run, so runs in parts step exactly as
+        one run; `psi` closes it on reading."""
+        v = np.asarray(potentials(self.t), dtype=float)
+        if steps <= 0:
+            return
+        evolver = self._open(dt, v)
         for _ in range(steps):
-            v0, v1 = v1, np.asarray(potentials(self.t + dt), dtype=float)
-            self.psi = evolver.step(self.psi, self.ns, v0, v1)
-            evolver.check_norms(self.psi)
+            v = np.asarray(potentials(self.t + dt), dtype=float)
+            self._psi = evolver.step(self._psi, self.ns, v)
+            self._pending = (evolver, v)
+            self.norm_drift = max(self.norm_drift,
+                                  float(evolver.check_norms(self._psi)))
             rate = self._theta_rate()
             self.theta_coeff += 0.5 * dt * (self._theta_rate_prev + rate)
             self._theta_rate_prev = rate
@@ -99,12 +142,23 @@ class TrajectorySet:
             self.t += dt
             self.steps += 1
 
+    @property
+    def psi(self):
+        """The closed wavefunctions, shape (5, 4, n_r, n_z): the working
+        state less its pending half phase, a new array on each read once a
+        run has opened it."""
+        if self._pending is None:
+            return self._psi
+        evolver, v = self._pending
+        return evolver.phase(self._psi, self.ns, v, -0.5)
+
     def fork(self):
-        """An independent copy of the evolving state: wavefunctions, Theta
-        coefficients and rate, mean-phase unwrap data, time and step count.
-        The grid and the occupations are shared."""
+        """An independent copy of the evolving state: wavefunctions and their
+        pending half phase, Theta coefficients and rate, mean-phase unwrap
+        data, time, step count and diagnostics.  The grid, the occupations
+        and the pending evolver and potential are shared."""
         new = copy.copy(self)
-        for name in ("psi", "theta_coeff", "_theta_rate_prev", "_mean_phase",
+        for name in ("_psi", "theta_coeff", "_theta_rate_prev", "_mean_phase",
                      "_raw_prev"):
             setattr(new, name, getattr(self, name).copy())
         return new
@@ -120,12 +174,13 @@ class TrajectorySet:
         Centered difference of the unwrapped phases of the +beta and -beta
         axis configurations; cells below the central density floor are zeroed.
         """
-        center = self.psi[self.CENTER]
+        psi = self.psi
+        center = psi[self.CENTER]
         dens = np.abs(center) ** 2
         mask = dens >= DENSITY_FLOOR * dens.max(axis=(-2, -1), keepdims=True)
         # phase of each configuration relative to the central one, unwrapped
         # by its continuous mean phase
-        phase = (np.angle(self.psi * np.conj(center)
+        phase = (np.angle(psi * np.conj(center)
                           * np.exp(-1j * self._raw_prev)[..., None, None])
                  + self._mean_phase[..., None, None])
         plus = [self.AXIS[(well, +1)] for well in "ab"]
@@ -136,7 +191,7 @@ class TrajectorySet:
     def density_overlap(self, well):
         """Normalized overlap of the 0 and 1 densities of one well (in [0,1])."""
         base = 0 if well == "a" else 2
-        d0, d1 = np.abs(self.psi[self.CENTER, base:base + 2]) ** 2
+        d0, d1 = np.abs(self._psi[self.CENTER, base:base + 2]) ** 2
         return normalized_overlap(self.grid, d0, d1)
 
     def correlator_inputs(self, C, window_sigmas=8.0):
@@ -147,7 +202,7 @@ class TrajectorySet:
         m = self.grid.n_r * self.grid.n_z
         return CorrelatorInputs(
             weights=self.grid.weights.reshape(m),
-            phibar=self.psi[self.CENTER].reshape(4, m),
+            phibar=self.psi[self.CENTER].reshape(4, m).copy(),
             grad=grads.reshape(4, 2, m),
             theta_u=np.array([self.theta(1, 0), self.theta(0, 1)]),
             nbar=self.nbar,

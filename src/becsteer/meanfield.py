@@ -179,8 +179,16 @@ class SplitStepEvolver:
     U_zz = U_z U_z.  Both are built once, as dense matrices from the grid's
     Laplacian stencil and cut at PROPAGATOR_CUT, so a sweep is two matrix
     products; in real time U preserves the weighted norm to roundoff.  The
-    potential and nonlinear part is an exact local factor.  Works on a batch
-    of Fock configurations at once: psi shaped (..., 4, n_r, n_z).
+    potential and nonlinear part is an exact local factor, `phase`.  Works
+    on a batch of Fock configurations at once: psi shaped (..., 4, n_r, n_z).
+
+    A closed Strang step is a half phase at v(t), the kinetic sweep and a
+    half phase at v(t + dt).  In real time the closing half phase of one
+    step and the opening one of the next read the same potential and the
+    same |psi|, so they are one full phase: `step` works on an *open* state,
+    one that carries the half phase of its own time, and is the sweep
+    followed by the full phase at v(t + dt).  `phase(psi, ns, v, 0.5)` opens
+    a closed state at v and `phase(psi, ns, v, -0.5)` closes an open one.
     """
 
     def __init__(self, grid, g4, dt, imaginary=False):
@@ -198,17 +206,21 @@ class SplitStepEvolver:
     def _kinetic(self, psi):
         return self._u_r @ (psi @ self._u_zz.T)
 
-    def _half_phase(self, psi, ns, v):
-        return psi * np.exp(-0.5 * self._h * (v + _mean_field(self.g4, psi, ns)))
+    def phase(self, psi, ns, v, frac):
+        """psi times exp(-frac h (v + mean field of psi)): frac 0.5 opens a
+        state at v, 1 is the phase of a step, -0.5 closes an open state."""
+        return psi * np.exp(-frac * self._h * (v + _mean_field(self.g4, psi, ns)))
 
     def _strang(self, psi, ns, v0, v1):
-        psi = self._half_phase(psi, ns, v0)
+        """One closed step from v0 to v1 (the imaginary-time relaxation)."""
+        psi = self.phase(psi, ns, v0, 0.5)
         psi = self._kinetic(psi)
-        return self._half_phase(psi, ns, v1)
+        return self.phase(psi, ns, v1, 0.5)
 
-    def step(self, psi, ns, v_t, v_t_dt):
-        """Advance one dt; v_t and v_t_dt are (4, n_r, n_z) potential stacks."""
-        return self._strang(psi, ns, v_t, v_t_dt)
+    def step(self, psi, ns, v_t_dt):
+        """Advance an open state by one dt: the kinetic sweep, then the full
+        phase at v_t_dt, the (4, n_r, n_z) potential stack at t + dt."""
+        return self.phase(self._kinetic(psi), ns, v_t_dt, 1.0)
 
     def check_norms(self, psi):
         nrm = np.real(np.sum(self.grid.weights * np.abs(psi) ** 2, axis=(-2, -1)))

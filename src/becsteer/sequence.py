@@ -167,6 +167,8 @@ class PointResult:
     error: str = None
     dt: float = float("nan")      # time step of the point's scan
     steps: int = 0                # steps taken after its fork
+    norm_drift: float = float("nan")   # largest norm drift of its steps
+    unwrap_step: float = float("nan")  # largest mean-phase change in a step
 
 
 def failed_point(cfg, t_int, exc):
@@ -205,15 +207,15 @@ class HoldFork:
                                      window_sigmas=cfg.window_sigmas)
         point = PointResult(t_int=t_int, t_total=2.0 * cfg.t_ramp + t_int,
                             moments=spin_moments(inp), dt=self.dt,
-                            steps=self.steps)
+                            steps=self.steps, norm_drift=traj.norm_drift,
+                            unwrap_step=traj.unwrap_step)
         point.result = epr_witness(point.moments)
         point.result.overlap_a = traj.density_overlap("a")
         point.result.overlap_b = traj.density_overlap("b")
-        point.separation_end = well_separation(traj.grid,
-                                               traj.psi[traj.CENTER])
+        center = traj.psi[traj.CENTER]
+        point.separation_end = well_separation(traj.grid, center)
         if snapshot_path:
-            save_snapshot(snapshot_path, traj.grid, traj.psi[traj.CENTER],
-                          traj.nbar, traj.t)
+            save_snapshot(snapshot_path, traj.grid, center, traj.nbar, traj.t)
         return point
 
 

@@ -9,6 +9,7 @@ import pytest
 import becsteer
 from becsteer.cli import main
 from becsteer.config import ConfigError, load_config, parse_config
+from becsteer.meanfield import NORM_TOL
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -148,6 +149,11 @@ def test_cli_run_writes_results(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert man["command"] == "run"
     assert all(p["status"] == "ok" for p in man["points"])
+    # each point's step diagnostics: finite (a nan fails every comparison)
+    # and inside the norm check's and the unwrap's margins
+    for p in man["points"]:
+        assert 0.0 <= p["norm_drift"] < NORM_TOL
+        assert 0.0 < p["unwrap_step"] < math.pi / 2
 
 
 def test_cli_missing_config_is_fatal(tmp_path, capsys):

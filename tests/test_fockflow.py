@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from becsteer.grid import build_grid
-from becsteer.meanfield import PhysicalParams, ground_state
-from becsteer.fockflow import (DisplacementError, central_fock,
+from becsteer.meanfield import (PhysicalParams, SplitStepEvolver, _mean_field,
+                                ground_state)
+from becsteer.fockflow import (DisplacementError, _wrap, central_fock,
                                init_trajectories)
 
 C = np.ones(4) / np.sqrt(2.0)         # pulse amplitudes for correlator_inputs
@@ -126,8 +127,9 @@ def test_density_overlap_unity_for_identical_components(setup):
 
 
 def test_run_in_parts_equals_one_run(setup):
-    # consecutive runs step exactly as one: each opens with the potential at
-    # its own start time and then passes each step's closing potential on
+    # consecutive runs step exactly as one: a run at the same dt whose
+    # potential at its start time equals the last one's closing potential
+    # continues the state the last run left open
     grid, g4, pots, psi0 = setup
     calls = []
 
@@ -159,3 +161,56 @@ def test_norm_check_runs(setup):
     traj.run(lambda t: pots, 0.02, 10)
     nrm = np.real(np.sum(grid.weights * np.abs(traj.psi) ** 2, axis=(-2, -1)))
     assert np.abs(nrm - 1.0).max() < 1e-12
+
+
+def test_run_matches_closed_strang_steps(setup):
+    # the reference steps closed: half phase at v(t), kinetic sweep, half
+    # phase at v(t + dt); run merges each step's closing half phase with the
+    # next one's opening half, also across a second run at another dt.  A
+    # strong inter-state contrast and beta = 10 make the relative mean phases
+    # large enough for 1e-12 to sit above the unwrap's roundoff (one ulp of
+    # pi per step)
+    grid, _, pots, psi0 = setup
+    g4 = PhysicalParams(a_01=20.0).g4()
+
+    def p(t):
+        return pots * (1.0 + 0.3 * np.sin(3.0 * t))
+
+    legs = ((0.01, 30), (0.015, 20))
+    traj = init_trajectories(grid, g4, 400, 400, psi0, beta=10)
+    for dt, steps in legs:
+        traj.run(p, dt, steps)
+
+    w, ns = grid.weights, traj.ns
+    psi = np.broadcast_to(psi0, traj.psi.shape).astype(complex)
+
+    def rate(psi):
+        dens = np.abs(psi[0]) ** 2
+        pair = np.sum(w * dens[:, None] * dens[None, :], axis=(-2, -1))
+        return -0.5 * np.sum((g4 - np.diag(np.diag(g4))) * pair, axis=0)
+
+    theta, rate_prev = np.zeros(4), rate(psi)
+    mean_phase, raw_prev, t = np.zeros((5, 4)), np.zeros((4, 4)), 0.0
+    for dt, steps in legs:
+        ev = SplitStepEvolver(grid, g4, dt)
+
+        def half(f, v):
+            return f * np.exp(-0.5j * dt * (v + _mean_field(g4, f, ns)))
+
+        for _ in range(steps):
+            psi = half(ev._kinetic(half(psi, p(t))), p(t + dt))
+            t += dt
+            r = rate(psi)
+            theta += 0.5 * dt * (rate_prev + r)
+            rate_prev = r
+            # the unwrap reads the state opened at the step's end time
+            opened = half(psi, p(t))
+            raw = np.angle(np.sum(w * np.conj(opened[0]) * opened[1:],
+                                  axis=(-2, -1)))
+            mean_phase[1:] += _wrap(raw - raw_prev)
+            raw_prev = raw
+
+    for got, want in ((traj.psi, psi), (traj.theta_coeff, theta),
+                      (traj._mean_phase, mean_phase)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert traj.t == pytest.approx(t, abs=1e-12) and traj.steps == 50
