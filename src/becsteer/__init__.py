@@ -25,7 +25,7 @@ from .sequence import (PointResult, ProtocolConfig, component_potentials,
                        prepare_initial, ramp_displacement, run_protocol,
                        well_separation)
 from .oracle4mode import (FourModeState, adiabatic_rates, evolve_exact,
-                          extract_chi, oracle_moments, oracle_witness,
-                          pulse_state, twisting_phases)
+                          extract_chi, four_mode_average, oracle_moments,
+                          oracle_witness, pulse_state, twisting_phases)
 from .losses import LossBudget, loss_estimate
 from .config import ConfigError, RunConfig, load_config, parse_config

@@ -51,6 +51,14 @@ def binomial_weights(n, c0, c1):
     return w / w.sum()
 
 
+def falling(x, d, out=1.0):
+    """out times the falling factorial x (x - 1) ... (x - d + 1), one factor
+    at a time, elementwise."""
+    for i in range(d):
+        out = out * (x - i)
+    return out
+
+
 class TruncationError(RuntimeError):
     pass
 
@@ -128,6 +136,14 @@ class CorrelatorInputs:
             wb = math.ceil(0.5 * self.window_sigmas * math.sqrt(max(self.nbar.n_b, 1)))
             self.window = (wa, wb)
 
+    @property
+    def n_a(self):
+        return self.nbar.n_a
+
+    @property
+    def n_b(self):
+        return self.nbar.n_b
+
     def theta(self, p_a, p_b):
         return p_a * self.theta_u[0] + p_b * self.theta_u[1]
 
@@ -165,11 +181,7 @@ class CorrelatorInputs:
         # times the ladder falling factorials N_s0!/(N_s0 - d0)! and
         # N_s1!/(N_s1 - d1)!
         j = n0 + ks
-        wts = binomial_weights(n, c0, c1)[j]
-        for i in range(d0):
-            wts = wts * (j - i)
-        for i in range(d1):
-            wts = wts * (n - j - i)
+        wts = falling(n - j, d1, falling(j, d0, binomial_weights(n, c0, c1)[j]))
         # a significant weight at a window edge that actually truncates the
         # physical range means the window is too small
         top = wts.max()
@@ -427,12 +439,10 @@ def brute_force_average(inp, idx):
 # ---------------------------------------------------------------------------
 # spin operators and their first and second moments
 
-_AXES = [("x", "a"), ("y", "a"), ("z", "a"), ("x", "b"), ("y", "b"), ("z", "b")]
-
-# S_i = sum_{c,a} SPIN[i, c, a] psi_c^dag psi_a, axes in _AXES order, over the
-# components (a0, a1, b0, b1).  x and y take a0^dag a1 as the raising
-# operator, but z is (n1 - n0)/2: the opposite sign of oracle4mode's S_z
-# (ROADMAP F4), so that [S_x, S_y] = -i S_z here.
+# S_i = sum_{c,a} SPIN[i, c, a] psi_c^dag psi_a over the components
+# (a0, a1, b0, b1), i in SpinMoments' order; the four-mode oracle reads the
+# same table.  x and y take a0^dag a1 as the raising operator, but z is
+# (n1 - n0)/2, so that [S_x, S_y] = -i S_z (ROADMAP F4).
 SPIN = np.zeros((6, 4, 4), complex)
 SPIN[:3, :2, :2] = SPIN[3:, 2:, 2:] = 0.5 * np.array(
     [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[-1, 0], [0, 1]]])
@@ -482,6 +492,8 @@ def spin_moments(inp, evaluator=fock_sum_average):
     delta(r - r') in normal ordering.  Each distinct term is evaluated once:
     G1 on the 8 pairs SPIN reads, D on the 36 unordered couples of them and
     mirrored, since swapping the two slots leaves a term unchanged.
+    `inp` is whatever the evaluator reads, with the atom numbers n_a and
+    n_b: CorrelatorInputs here, a four-mode state for oracle4mode.
     """
     g1 = np.zeros((4, 4), complex)
     for c, a in _PAIRS:
@@ -496,7 +508,7 @@ def spin_moments(inp, evaluator=fock_sum_average):
             + np.einsum("ica,jab,cb->ij", SPIN, SPIN, g1))
     pair = 0.5 * (pair + pair.T)
 
-    scale = 0.5 * (inp.nbar.n_a + inp.nbar.n_b)
+    scale = 0.5 * (inp.n_a + inp.n_b)
     for v in mean:
         if abs(v.imag) > HERM_TOL * max(scale, 1.0):
             raise RuntimeError(f"spin mean has imaginary part {v.imag:.3e}")
@@ -506,7 +518,7 @@ def spin_moments(inp, evaluator=fock_sum_average):
                 f"symmetrized second moment ({i},{j}) has imaginary part "
                 f"{pair[i, j].imag:.3e}")
     return SpinMoments(mean=mean.real.copy(), second=pair.real.copy(),
-                       n_a=inp.nbar.n_a, n_b=inp.nbar.n_b)
+                       n_a=inp.n_a, n_b=inp.n_b)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ class DisplacementError(ValueError):
 
 
 def _wrap(x):
-    return (x + np.pi) % (2.0 * np.pi) - np.pi
+    """x shifted by a whole number of turns into [-pi, pi]; exactly x when
+    |x| < pi, so a small increment keeps its low bits."""
+    return x - 2.0 * np.pi * np.round(x / (2.0 * np.pi))
 
 
 class TrajectorySet:

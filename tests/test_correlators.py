@@ -11,7 +11,7 @@ from becsteer.correlators import (CorrelatorInputs, MultiIndex, SpinMoments,
                                   brute_force_average, epr_witness,
                                   fock_sum_average, quadrature_moments,
                                   spin_moments)
-from becsteer.oracle4mode import oracle_moments, pulse_state
+from becsteer.oracle4mode import four_mode_average, oracle_moments, pulse_state
 
 
 def synthetic_inputs(n_a, n_b, seed=0, grad_scale=0.03, window=None,
@@ -215,17 +215,24 @@ def test_coherent_state_moments_at_t0():
     (40, 30, [1.0, np.exp(0.4j), 1.0, np.exp(-0.9j)] / np.sqrt(2.0))],
     ids=["real-20", "phased-40-30"])
 def test_spin_moments_match_four_mode_model(n_a, n_b, C):
-    # the moment assembly against an independent model: oracle4mode applies
-    # the spin operators to Fock amplitudes, sharing no code with SPIN
+    # on coherent inputs the windowed Fock sum and the four-mode model's
+    # one-well sums are two evaluators of the same averages: each term that
+    # spin_moments reads, and then the moments, agree
     inp = coherent_inputs(n_a, n_b)
     inp.C = np.asarray(C, complex)
-    m = spin_moments(inp)
-    ref = oracle_moments(pulse_state(n_a, n_b, C))
-    # the two S_z have opposite signs (ROADMAP F4); its fix makes this the
-    # identity
-    d = np.diag([1.0, 1.0, -1.0, 1.0, 1.0, -1.0])
-    assert np.abs(m.mean - d @ ref.mean).max() <= 1e-12
-    assert np.abs(m.second - d @ ref.second @ d).max() <= 1e-11
+    st = pulse_state(n_a, n_b, C)
+    terms = []
+
+    def recorded(inp, idx):
+        terms.append((idx, fock_sum_average(inp, idx)))
+        return terms[-1][1]
+    m = spin_moments(inp, evaluator=recorded)
+    for idx, got in terms:
+        ref = four_mode_average(st, idx)
+        assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), idx
+    ref = oracle_moments(st)
+    assert np.abs(m.mean - ref.mean).max() <= 1e-12
+    assert np.abs(m.second - ref.second).max() <= 1e-11
 
 
 def test_spin_moments_evaluate_each_term_once():

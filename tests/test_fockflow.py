@@ -167,9 +167,9 @@ def test_run_matches_closed_strang_steps(setup):
     # the reference steps closed: half phase at v(t), kinetic sweep, half
     # phase at v(t + dt); run merges each step's closing half phase with the
     # next one's opening half, also across a second run at another dt.  A
-    # strong inter-state contrast and beta = 10 make the relative mean phases
-    # large enough for 1e-12 to sit above the unwrap's roundoff (one ulp of
-    # pi per step)
+    # strong inter-state contrast makes the relative mean phases (up to
+    # 7e-4 rad) large enough for 1e-12 to sit above the roundoff of the two
+    # step orders
     grid, _, pots, psi0 = setup
     g4 = PhysicalParams(a_01=20.0).g4()
 
@@ -177,7 +177,7 @@ def test_run_matches_closed_strang_steps(setup):
         return pots * (1.0 + 0.3 * np.sin(3.0 * t))
 
     legs = ((0.01, 30), (0.015, 20))
-    traj = init_trajectories(grid, g4, 400, 400, psi0, beta=10)
+    traj = init_trajectories(grid, g4, 400, 400, psi0)
     for dt, steps in legs:
         traj.run(p, dt, steps)
 
@@ -214,3 +214,14 @@ def test_run_matches_closed_strang_steps(setup):
                       (traj._mean_phase, mean_phase)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert traj.t == pytest.approx(t, abs=1e-12) and traj.steps == 50
+
+
+def test_wrap_keeps_small_increments_exact():
+    # the mean-phase unwrap sums _wrap(raw - raw_prev) over the steps: an
+    # increment far below pi must come through bit for bit, so that a run of
+    # them sums exactly
+    inc = np.full(1000, 1e-6)
+    assert np.sum(_wrap(inc)) == np.sum(inc)
+    assert np.array_equal(_wrap(-inc), -inc)
+    # a jump across the branch cut loses its whole turn
+    assert _wrap(1e-6 - 2.0 * np.pi) == pytest.approx(1e-6, abs=1e-15)
