@@ -8,9 +8,10 @@ from becsteer.correlators import MultiIndex
 from becsteer.grid import build_grid
 from becsteer.meanfield import PhysicalParams
 import becsteer.oracle4mode
-from becsteer.oracle4mode import (adiabatic_rates, default_dn, evolve_exact,
-                                  extract_chi, four_mode_average,
-                                  oracle_moments, oracle_witness, pulse_state,
+from becsteer.oracle4mode import (FourModeState, adiabatic_rates,
+                                  default_dn, evolve_exact, extract_chi,
+                                  four_mode_average, oracle_moments,
+                                  oracle_witness, pulse_state,
                                   twisting_phases)
 from becsteer.sequence import ProtocolConfig, component_potentials
 
@@ -120,6 +121,65 @@ def test_moments_match_dense_spin_matrices(n_a, n_b, C):
         assert np.trace(m.second[o:o + 3, o:o + 3]) == pytest.approx(
             n / 2 * (n / 2 + 1), rel=1e-13)
 
+
+def kron_moments(psi, n_a, n_b):
+    """Mean and symmetrized second moments of the six spins on a flattened
+    (n_a + 1) x (n_b + 1) state, from S (x) 1 and 1 (x) S; the z rows are
+    -Sz, as in the reference above."""
+    ops = []
+    for n, place in ((n_a, lambda s: np.kron(s, np.eye(n_b + 1))),
+                     (n_b, lambda s: np.kron(np.eye(n_a + 1), s))):
+        sx, sy, sz = spin_matrices(n)
+        ops += [place(sx), place(sy), place(-sz)]
+    mean = np.array([np.vdot(psi, o @ psi).real for o in ops])
+    second = np.array([[np.vdot(psi, (oi @ oj + oj @ oi) @ psi).real / 2
+                        for oj in ops] for oi in ops])
+    return mean, second
+
+
+def twist_hamiltonian(n_a, n_b, phi_a, phi_b, phi_ab):
+    """Phi on the flattened Fock grid, z_s = k_s - n_s / 2."""
+    za = np.arange(n_a + 1) - n_a / 2
+    zb = np.arange(n_b + 1) - n_b / 2
+    return (phi_a * za[:, None] ** 2 + phi_b * zb[None, :] ** 2
+            - phi_ab * za[:, None] * zb[None, :]).ravel()
+
+
+def test_moments_match_dense_matrix_exponential():
+    # the pulse evolved by expm of the dense twisting Hamiltonian on the
+    # flattened Fock grid, against the product-form twist
+    import scipy.linalg
+    rng = np.random.default_rng(4)
+    n_a = n_b = 8
+    phi_a, phi_b, phi_ab = rng.normal(scale=0.2, size=3)
+    st0 = pulse_state(n_a, n_b, C_HALF)
+    h = twist_hamiltonian(n_a, n_b, phi_a, phi_b, phi_ab)
+    u = scipy.linalg.expm(-1j * np.diag(h))
+    psi = u @ np.kron(st0.amp_a, st0.amp_b)
+    mean, second = kron_moments(psi, n_a, n_b)
+    m = oracle_moments(evolve_exact(st0, phi_a, phi_b, phi_ab))
+    assert np.abs(m.mean - mean).max() < 1e-12
+    assert np.abs(m.second - second).max() < 1e-12
+
+
+def test_moments_match_kronecker_spin_matrices():
+    # unequal wells, generic complex amplitudes and a twist that entangles
+    # them: both wells against dense Kronecker-product operators
+    n_a, n_b = 5, 3
+    rng = np.random.default_rng(7)
+
+    def amp(n):
+        a = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        return a / np.linalg.norm(a)
+
+    twist = tuple(rng.normal(scale=0.5, size=3))
+    st = evolve_exact(FourModeState(amp(n_a), amp(n_b)), *twist)
+    psi = (np.exp(-1j * twist_hamiltonian(n_a, n_b, *twist))
+           * np.kron(st.amp_a, st.amp_b))
+    mean, second = kron_moments(psi, n_a, n_b)
+    m = oracle_moments(st)
+    assert np.abs(m.mean - mean).max() < 1e-12
+    assert np.abs(m.second - second).max() < 1e-12
 
 def test_moments_trace_little_memory():
     # the per-well sums keep nothing of size (n_a + 1) x (n_b + 1): the dense
