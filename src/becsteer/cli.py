@@ -142,7 +142,7 @@ def _cmd_scan(cfg, args, out_dir):
             try:
                 rates = oracle4mode.adiabatic_rates(
                     proto, point_cfg.params, values["oracle_samples"],
-                    values["oracle_dn"], tol=values["gs_tol"])
+                    tol=values["gs_tol"])
             except Exception as exc:  # noqa: BLE001 - fails its points
                 error = exc
             t_oracle += time.time() - t1
@@ -217,7 +217,6 @@ def _cmd_oracle(cfg, args, out_dir):
     else:  # spatial mode: one ramp's chi rates serve every hold time
         rates = oracle4mode.adiabatic_rates(proto, cfg.params,
                                             cfg.values["oracle_samples"],
-                                            cfg.values["oracle_dn"],
                                             tol=cfg.values["gs_tol"])
         phis = [oracle4mode.twisting_phases(*rates, t) for t in proto.t_int]
         tags = [((2 * proto.t_ramp + t) / cfg.params.omega,

@@ -104,7 +104,6 @@ _SCHEMA = {
     "pulse_phase_b": ("plain", ("rad",), False),
     "move_mode": ("str", None, False),
     "beta": ("int", None, False),
-    "window_sigmas": ("plain", None, False),
     "n_r": ("int", None, False),
     "dr": ("length", ("a0",), False),
     "dz": ("length", ("a0",), False),
@@ -114,7 +113,6 @@ _SCHEMA = {
     "t_loss": ("time", ("s", "/omega"), False),
     "with_oracle": ("bool", None, False),
     "oracle_samples": ("int", None, False),
-    "oracle_dn": ("int", None, False),
     "oracle_phi_a": ("plain", ("rad",), True),
     "oracle_phi_b": ("plain", ("rad",), True),
     "oracle_phi_ab": ("plain", ("rad",), True),
@@ -130,7 +128,7 @@ SWEEP_AXES = {"sweep_n": ("n_a", "n_b"), "sweep_dz_max": ("dz_max",),
 # defaults of the keys no dataclass owns
 _DEFAULTS = {
     "gs_tol": 1e-8, "t_loss": (0.2, "s"),
-    "with_oracle": False, "oracle_samples": 9, "oracle_dn": None,
+    "with_oracle": False, "oracle_samples": 9,
     "oracle_phi_a": None, "oracle_phi_b": None, "oracle_phi_ab": None,
     "sweep_dz_max": None, "sweep_t_ramp": None, "sweep_n": None,
 }
@@ -338,8 +336,6 @@ def _check_cli_keys(v):
         ("gs_tol", v["gs_tol"] > 0, "must be positive"),
         ("t_loss", v["t_loss"] >= 0, "must be non-negative"),
         ("oracle_samples", v["oracle_samples"] >= 2, "must be at least 2"),
-        ("oracle_dn", v["oracle_dn"] is None or v["oracle_dn"] >= 1,
-         "must be at least 1"),
     ) + tuple((key, not n or v[key] is None or len(v[key]) in (1, n),
                f"needs 1 or {n} values, one per oracle_phi_ab")
               for key in ("oracle_phi_a", "oracle_phi_b"))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .meanfield import FockVector
 
-EDGE_TOL = 1e-12      # largest weight at a window edge that truncates, over the peak
+EDGE_TOL = 1e-14      # smallest binomial weight, over the peak, that a window keeps
 HERM_TOL = 1e-6       # largest imaginary part of a spin moment, over N (N^2 if second)
 ANGLE_TOL = 1e-6      # epr_witness: golden-section stopping width of each angle
 MIN_CONTRAST = 1e-6   # epr_witness: smallest well-b contrast with a defined witness
@@ -123,18 +123,12 @@ class CorrelatorInputs:
     theta_u: np.ndarray
     nbar: FockVector
     C: np.ndarray
-    window_sigmas: float = 8.0
-    window: tuple = None
     _cache: dict = field(default_factory=dict, repr=False)
     _bessel: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
         if np.any(np.abs(self.C) < 1e-300):
             raise ValueError("pulse amplitudes must all be nonzero")
-        if self.window is None:
-            wa = math.ceil(0.5 * self.window_sigmas * math.sqrt(max(self.nbar.n_a, 1)))
-            wb = math.ceil(0.5 * self.window_sigmas * math.sqrt(max(self.nbar.n_b, 1)))
-            self.window = (wa, wb)
 
     @property
     def n_a(self):
@@ -157,43 +151,24 @@ class CorrelatorInputs:
 
     def _well_ks(self, well, dplus):
         """Splitting offsets k (relative to nbar of the 0 component) kept in
-        the window for one well, with their binomial weights.
+        the window for one well, with their coefficient weights.
 
-        The state demands N_s0 >= dplus_s0 and N_s1 >= dplus_s1 for the
-        annihilators to act; physical bounds 0 <= N_s0 <= N_s."""
-        if well == "a":
-            n0, n1, w = self.nbar.n_a0, self.nbar.n_a1, self.window[0]
-            c0, c1 = self.C[0], self.C[1]
-            d0, d1 = dplus[0], dplus[1]
-        else:
-            n0, n1, w = self.nbar.n_b0, self.nbar.n_b1, self.window[1]
-            c0, c1 = self.C[2], self.C[3]
-            d0, d1 = dplus[2], dplus[3]
+        The window is every N_s0 whose binomial weight exceeds EDGE_TOL times
+        the peak, kept where the annihilators act: N_s0 >= dplus_s0 and
+        N_s1 >= dplus_s1."""
+        s = 0 if well == "a" else 2
+        n0, n1 = self.nbar[s], self.nbar[s + 1]
+        d0, d1 = dplus[s], dplus[s + 1]
         n = n0 + n1
-        lo = max(-w, d0 - n0)
-        hi = min(w, n1 - d1)
-        if lo > hi:
-            return np.zeros(0, dtype=int), np.zeros(0)
-        ks = np.arange(lo, hi + 1)
+        p = binomial_weights(n, self.C[s], self.C[s + 1])
+        kept = np.flatnonzero(p > EDGE_TOL * p.max())   # unimodal: one run
+        j = np.arange(max(kept[0], d0), min(kept[-1], n - d1) + 1)
         # coefficient weight N! / ((N_s0 - d0)! (N_s1 - d1)!) |c0|^{2 N_s0}
         # |c1|^{2 N_s1} at |c0|^2 + |c1|^2 = 1: the binomial weight of
-        # N_s0 = n0 + k (binomial_weights, shared with the four-mode oracle)
+        # N_s0 = j (binomial_weights, shared with the four-mode oracle)
         # times the ladder falling factorials N_s0!/(N_s0 - d0)! and
         # N_s1!/(N_s1 - d1)!
-        j = n0 + ks
-        wts = falling(n - j, d1, falling(j, d0, binomial_weights(n, c0, c1)[j]))
-        # a significant weight at a window edge that actually truncates the
-        # physical range means the window is too small
-        top = wts.max()
-        if lo == -w and lo > d0 - n0 and wts[0] > EDGE_TOL * top:
-            raise TruncationError(
-                f"well {well} window [-{w},{w}] truncates: lower edge weight "
-                f"{wts[0] / top:.2e} above {EDGE_TOL:.0e}")
-        if hi == w and hi < n1 - d1 and wts[-1] > EDGE_TOL * top:
-            raise TruncationError(
-                f"well {well} window [-{w},{w}] truncates: upper edge weight "
-                f"{wts[-1] / top:.2e} above {EDGE_TOL:.0e}")
-        return ks, wts
+        return j - n0, falling(n - j, d1, falling(j, d0, p[j]))
 
     def _slot_table(self, gs, ds, m_a, m_b, ks_a, ks_b):
         """Window table of one slot integral.
@@ -608,7 +583,11 @@ def epr_witness(m):
     """Minimize the product steering witness over both quadrature angles.
 
     Coarse 2-degree grid scan over [0, pi)^2 followed by coordinatewise
-    golden-section refinement.  Raises WitnessUndefinedError when the mean
+    golden-section refinement.  Shifting both angles by pi/2 swaps each
+    quadrature with its conjugate and leaves the witness unchanged, so each
+    minimum has a partner, and roundoff decides which one the search finds.
+    The one reported has inferred_var_1 <= inferred_var_2: a rule on the
+    moments, not on the angles.  Raises WitnessUndefinedError when the mean
     spin of the inferring well has collapsed (witness denominator ~ 0), or
     when the moments are not those of a state: a quadrature covariance that
     is not positive semidefinite, or a negative squared witness.
@@ -648,6 +627,9 @@ def epr_witness(m):
         _quadratures(cov4, alpha, beta)
     inf1 = float(var_b - cov_ab ** 2 / var_a)
     inf2 = float(var_b90 - cov_ab90 ** 2 / var_a90)
+    if inf1 > inf2:                     # the partner minimum
+        alpha, beta = alpha + math.pi / 2, beta + math.pi / 2
+        inf1, inf2 = inf2, inf1
     return EPRResult(
         e_epr=math.sqrt(e2),
         alpha=alpha % math.pi,

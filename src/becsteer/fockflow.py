@@ -196,7 +196,7 @@ class TrajectorySet:
         d0, d1 = np.abs(self._psi[self.CENTER, base:base + 2]) ** 2
         return normalized_overlap(self.grid, d0, d1)
 
-    def correlator_inputs(self, C, window_sigmas=8.0):
+    def correlator_inputs(self, C):
         """Snapshot of everything the correlator evaluation needs."""
         from .correlators import CorrelatorInputs
 
@@ -209,7 +209,6 @@ class TrajectorySet:
             theta_u=np.array([self.theta(1, 0), self.theta(0, 1)]),
             nbar=self.nbar,
             C=np.asarray(C, dtype=complex),
-            window_sigmas=window_sigmas,
         )
 
 

@@ -24,6 +24,7 @@ DT_MARGIN = 0.05                # stable_dt: largest (|V| + g n) dt of a step
 DT_FLOOR = 1e-8                 # stable_dt: density, over the peak, of a sampled cell
 RELAX_TAU = 0.05                # ground_state: imaginary-time step
 RELAX_TOL = 1e-10               # ground_state: relative energy change ending relaxation
+RELAX_MAX_ITER = 4000           # ground_state: imaginary-time steps at most
 POLISH_MAX_ITER = 60000         # _descent_polish: iterations before ConvergenceError
 
 
@@ -298,8 +299,7 @@ def _descent_polish(grid, psi, ns, potentials, g4, tol):
         f"residual {resn.max():.3e}")
 
 
-def ground_state(grid, fock, potentials, g4, tol=1e-8, relax_iters=4000,
-                 psi0=None):
+def ground_state(grid, fock, potentials, g4, tol=1e-8, psi0=None):
     """Coupled ground state by imaginary time plus self-consistent polish.
 
     potentials must be time-independent, shape (4, n_r, n_z).  Returns a
@@ -320,7 +320,7 @@ def ground_state(grid, fock, potentials, g4, tol=1e-8, relax_iters=4000,
 
     ev = SplitStepEvolver(grid, g4, RELAX_TAU, imaginary=True)
     prev_e = np.inf
-    for it in range(relax_iters):
+    for it in range(RELAX_MAX_ITER):
         # not `step`, whose calls count the real-time steps of a run
         psi = ev._strang(psi, ns, potentials, potentials)
         psi = psi / _norms(grid, psi)[:, None, None]

@@ -148,7 +148,7 @@ def extract_chi(grid, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
     return chi_a, chi_b, chi_ab, center
 
 
-def adiabatic_rates(cfg, params, n_samples=9, dn=None, tol=1e-8):
+def adiabatic_rates(cfg, params, n_samples=9, tol=1e-8):
     """(ramp integral, hold rate) of the chi coefficients, each (a, b, ab).
 
     Samples chi along one transport ramp (instantaneous ground states,
@@ -167,7 +167,7 @@ def adiabatic_rates(cfg, params, n_samples=9, dn=None, tol=1e-8):
     psi0 = None
     for t in ts:
         pots = component_potentials(grid, cfg, t, 0.0)
-        ca, cb, cab, center = extract_chi(grid, pots, ns, g4, dn=dn, tol=tol,
+        ca, cb, cab, center = extract_chi(grid, pots, ns, g4, tol=tol,
                                           psi0=psi0)
         psi0 = center.psi
         chis.append((ca, cb, cab))

@@ -42,7 +42,6 @@ class ProtocolConfig:
     pulse_phase_b: float = 0.0
     move_mode: str = "mirror"     # "mirror": both 0-traps move; "single": a0 only
     beta: int = 1
-    window_sigmas: float = 8.0
     # spatial grid
     n_r: int = 28
     dr: float = 1.0 / 7.0
@@ -62,7 +61,6 @@ class ProtocolConfig:
             ("move_mode", self.move_mode in ("mirror", "single"),
              "must be 'mirror' or 'single'"),
             ("beta", self.beta >= 1, "must be at least 1"),
-            ("window_sigmas", self.window_sigmas > 0, "must be positive"),
             ("n_r", self.n_r >= MIN_POINTS, f"must be at least {MIN_POINTS}"),
             ("dr", self.dr > 0, "must be positive"),
             ("dz", self.dz > 0, "must be positive"),
@@ -203,8 +201,7 @@ class HoldFork:
             return component_potentials(traj.grid, cfg, t, t_int)
 
         traj.run(pots, self.dt, self.steps)
-        inp = traj.correlator_inputs(cfg.pulse_amplitudes(),
-                                     window_sigmas=cfg.window_sigmas)
+        inp = traj.correlator_inputs(cfg.pulse_amplitudes())
         point = PointResult(t_int=t_int, t_total=2.0 * cfg.t_ramp + t_int,
                             moments=spin_moments(inp), dt=self.dt,
                             steps=self.steps, norm_drift=traj.norm_drift,

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import becsteer
+from becsteer import correlators
 from becsteer.cli import main
 from becsteer.config import ConfigError, load_config, parse_config
 from becsteer.meanfield import NORM_TOL
@@ -128,7 +129,7 @@ def test_set_overrides_win():
 def test_echo_round_trips():
     cfg = parse_config(TINY)
     cfg2 = parse_config(cfg.echo())
-    for key in ("n_a", "dz_max", "t_ramp", "omega", "t_loss", "window_sigmas"):
+    for key in ("n_a", "dz_max", "t_ramp", "omega", "t_loss"):
         assert cfg2.values[key] == pytest.approx(cfg.values[key])
     assert list(cfg2.values["t_int"]) == pytest.approx(list(cfg.values["t_int"]))
 
@@ -170,9 +171,9 @@ def test_cli_bad_config_is_fatal(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [
-    "dt = -0.05 /omega", "oracle_samples = 1", "oracle_dn = 0",
+    "dt = -0.05 /omega", "oracle_samples = 1",
     "oracle_phi_ab = 0, 0.01, 0.02\noracle_phi_a = 0, 0.1", "gs_tol = 0",
-    "beta = 0", "beta = 2", "n_a = 10", "window_sigmas = 0", "n_r = 3",
+    "beta = 0", "beta = 2", "n_a = 10", "n_r = 3",
     "dr = 0 a0", "dz = 2 a0", "dz = 1e-320 a0", "n_b = 0", "a_00 = -1 bohr"],
     ids=lambda extra: extra.splitlines()[-1])
 def test_cli_bad_value_reports_its_line(tmp_path, capsys, extra):
@@ -188,12 +189,13 @@ def test_cli_bad_value_reports_its_line(tmp_path, capsys, extra):
     assert not out.exists()
 
 
-def test_cli_failed_point_gives_exit_2(tmp_path):
-    # a far-too-small Fock window makes the measurement fail at runtime
+def test_cli_failed_point_gives_exit_2(tmp_path, monkeypatch):
+    # a contrast floor above 1 leaves every witness undefined, so the
+    # measurement fails at runtime
+    monkeypatch.setattr(correlators, "MIN_CONTRAST", 2.0)
     cfgp = write_tiny(tmp_path)
     out = tmp_path / "out2"
-    code = main(["run", "--config", cfgp, "--out", str(out),
-                 "--set", "window_sigmas = 0.2"])
+    code = main(["run", "--config", cfgp, "--out", str(out)])
     assert code == 2
     man = json.loads((out / "manifest.json").read_text())
     assert any(p["status"] == "failed" for p in man["points"])

@@ -14,8 +14,8 @@ from becsteer.correlators import (CorrelatorInputs, MultiIndex, SpinMoments,
 from becsteer.oracle4mode import four_mode_average, oracle_moments, pulse_state
 
 
-def synthetic_inputs(n_a, n_b, seed=0, grad_scale=0.03, window=None,
-                     C=None, theta=(0.13, -0.07)):
+def synthetic_inputs(n_a, n_b, seed=0, grad_scale=0.03, C=None,
+                     theta=(0.13, -0.07)):
     """Small grid with randomized smooth gradient fields."""
     rng = np.random.default_rng(seed)
     grid = build_grid(8, 12, 0.5, 0.5, -3.0)
@@ -38,7 +38,7 @@ def synthetic_inputs(n_a, n_b, seed=0, grad_scale=0.03, window=None,
         C = np.array([1.0, 1.0, 1.0, 1.0]) / math.sqrt(2.0)
     return CorrelatorInputs(weights=w, phibar=phibar, grad=grad,
                             theta_u=np.array(theta), nbar=central_fock(n_a, n_b),
-                            C=np.asarray(C, complex), window=window)
+                            C=np.asarray(C, complex))
 
 
 ONE_BODY = MultiIndex((1, 0, 0, 0), (0, 1, 0, 0))
@@ -87,6 +87,11 @@ def test_fast_path_matches_brute_force_odd_wells_complex_pulse():
     assert np.abs(m_fast.second - m_ref.second).max() < 1e-9 * m_ref.n_a ** 2
 
 
+def window_half_width(inp):
+    """Largest splitting offset of well a's window."""
+    return int(inp._well_ks("a", (0, 0, 0, 0))[0][-1])
+
+
 def production_inputs():
     """N = 4000 per well (window 507 per well) on smooth random fields,
     scaled so that the largest |k Xt| of the a0^dag a1 and b1^dag b0 slots,
@@ -111,7 +116,7 @@ def production_inputs():
                            nbar=central_fock(4000, 4000),
                            C=np.full(4, 1.0 / math.sqrt(2.0)))
     xt = np.stack([grad[1] - grad[0], grad[2] - grad[3]])
-    inp.grad *= 400.0 / (inp.window[0] * np.abs(xt).max())
+    inp.grad *= 400.0 / (window_half_width(inp) * np.abs(xt).max())
     return inp
 
 
@@ -135,7 +140,7 @@ def direct_slot_table(inp, gs, ds, m_a, m_b, ks_a, ks_b):
     ((0, 0, 1, 0), (0, 0, 1, 0), 0, 1)])
 def test_slot_table_at_production_size(gs, ds, m_a, m_b):
     inp = production_inputs()
-    w = inp.window[0]
+    w = window_half_width(inp)
     assert 2 * w + 1 == 507
     # the a window clipped on one side
     ks_a, ks_b = np.arange(-w + 3, w + 1), np.arange(-w, w + 1)
@@ -235,6 +240,18 @@ def test_spin_moments_match_four_mode_model(n_a, n_b, C):
     assert np.abs(m.second - ref.second).max() <= 1e-11
 
 
+def test_skewed_pulse_window_follows_the_distribution():
+    # |c0| = 0.8 puts the binomial peak at N_s0 = 2560, 18 standard
+    # deviations from the even split N_s0 = 2000 that the offsets k count from
+    C = [0.8, 0.6, 0.8, 0.6]
+    inp = coherent_inputs(4000, 4000)
+    inp.C = np.asarray(C, complex)
+    m = spin_moments(inp)
+    ref = oracle_moments(pulse_state(4000, 4000, C))
+    assert np.abs(m.mean - ref.mean).max() <= 1e-14 * np.abs(ref.mean).max()
+    assert np.abs(m.second - ref.second).max() <= 1e-14 * np.abs(ref.second).max()
+
+
 def test_spin_moments_evaluate_each_term_once():
     calls = []
 
@@ -253,16 +270,27 @@ def test_witness_unity_at_t0():
     assert r.contrast_a == pytest.approx(1.0, abs=1e-10)
 
 
-def test_window_truncation_detected():
-    inp = synthetic_inputs(40, 40, window=(2, 2))
-    with pytest.raises(TruncationError):
-        fock_sum_average(inp, ONE_BODY)
-
-
 def test_default_window_covers_distribution():
-    inp = synthetic_inputs(60, 60)
-    # default window is wide enough that no truncation fires
-    fock_sum_average(inp, ONE_BODY)
+    # the window is the run of binomial weights above EDGE_TOL times the
+    # peak: every weight kept is above it, and the first one dropped on
+    # each side, where there is one, is not
+    for n, c0, c1 in ((60, 1.0, 1.0), (61, 0.8, 0.6), (4000, 1.0, 1.0),
+                      (4000, 0.8, 0.6), (4000, 0.995, 0.1), (30, 0.999, 0.04)):
+        C = np.array([c0, c1, 1.0, 1.0]) / np.hypot(c0, c1)
+        inp = synthetic_inputs(n, 2, C=C)
+        p = correlators.binomial_weights(n, C[0], C[1])
+        cut = correlators.EDGE_TOL * p.max()
+        ks, _ = inp._well_ks("a", (0, 0, 0, 0))
+        j = ks + inp.nbar.n_a0
+        assert np.array_equal(j, np.arange(j[0], j[-1] + 1))
+        assert np.all(p[j] > cut)
+        assert j[0] == 0 or p[j[0] - 1] <= cut
+        assert j[-1] == n or p[j[-1] + 1] <= cut
+        # the annihilators clip the window at the physical edges only
+        for dplus in ((2, 0, 0, 0), (0, 2, 0, 0)):
+            jd = inp._well_ks("a", dplus)[0] + inp.nbar.n_a0
+            assert jd[0] == max(j[0], dplus[0])
+            assert jd[-1] == min(j[-1], n - dplus[1])
 
 
 @pytest.mark.parametrize("dplus", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0),
@@ -274,7 +302,7 @@ def test_window_weights_exact_at_production_size(dplus):
     n = 4000
     inp = synthetic_inputs(n, n)
     ks, wts = inp._well_ks("a", dplus)
-    assert inp.window[0] == 253 and ks.size == 2 * 253 + 1
+    assert ks[0] == -253 and ks.size == 2 * 253 + 1
     n0, fact_n = inp.nbar.n_a0, math.factorial(n)
     for k, w in zip(ks, wts):
         a, b = n0 + k - dplus[0], n - n0 - k - dplus[1]
@@ -317,6 +345,60 @@ def test_witness_angle_optimum_is_minimum():
             * (q2["var_a90"] * q2["var_b90"] - q2["cov_ab90"] ** 2) \
             / (q2["var_a"] * q2["var_a90"] * m.spin_length("b") ** 2)
         assert e2p >= e2 - 1e-9
+
+
+# The spin moments of a fig2a point: N = 100 per well, dz_max = 10 a0,
+# t_ramp = 10/omega, t_int = 0.5/omega, stepped at dt = 0.1/omega, the
+# configuration of the benchmark's scan_fig2a workload.
+FIG2A_MEAN = [0.9260669432610328, 10.002937178354301, -3.552713678800501e-15,
+              8.68007554432715, -0.8832591175657316, -3.552713678800501e-15]
+FIG2A_SECOND = [
+    [31.182294102394213, 8.714227132891132, 11.131966529661025,
+     8.240279944146472, 1.129358034907721, -2.4548846697313964],
+    [8.714227132891132, 124.29597811790518, -0.9649881919280787,
+     86.81741960354329, -9.194900487619265, 0.5621838101837469],
+    [11.131966529661025, -0.9649881919280787, 25.000000000006708,
+     0.3738562571424282, 2.1499096234948505, 0.0],
+    [8.240279944146472, 86.81741960354329, 0.3738562571424282,
+     99.77676978271847, -7.254972965993913, -0.7721570081737354],
+    [1.129358034907721, -9.194900487619265, 2.1499096234948505,
+     -7.254972965993913, 29.99043278746611, -9.82066332407527],
+    [-2.4548846697313964, 0.5621838101837469, 0.0, -0.7721570081737354,
+     -9.82066332407527, 25.0000000000066]]
+
+
+def fig2a_moments(mean_scale=1.0, second_scale=1.0):
+    return SpinMoments(mean=np.multiply(FIG2A_MEAN, mean_scale),
+                       second=np.multiply(FIG2A_SECOND, second_scale),
+                       n_a=100, n_b=100)
+
+
+def test_witness_partner_minima_are_equally_deep():
+    m = fig2a_moments()
+    cov4, len_b = correlators._cov4(m), m.spin_length("b")
+    r = epr_witness(m)
+    for a, b in [(r.alpha, r.beta),
+                 *np.random.default_rng(0).uniform(0.0, math.pi, (20, 2))]:
+        e = math.sqrt(correlators._witness_sq(cov4, len_b, a, b))
+        ep = math.sqrt(correlators._witness_sq(cov4, len_b, a + math.pi / 2,
+                                               b + math.pi / 2))
+        assert abs(ep - e) <= 1e-15 * e
+
+
+def test_witness_reports_one_partner_under_roundoff():
+    # with the moments perturbed at the last bits in 100 directions, the
+    # search alone lands on either partner minimum, (alpha, beta) or
+    # (alpha + pi/2, beta + pi/2); the reported angles stay on one
+    rng = np.random.default_rng(1)
+    got = []
+    for _ in range(100):
+        ds = 1.0 + 4e-16 * rng.standard_normal((6, 6))
+        r = epr_witness(fig2a_moments(1.0 + 4e-16 * rng.standard_normal(6),
+                                      0.5 * (ds + ds.T)))
+        assert r.inferred_var_1 <= r.inferred_var_2
+        got.append((r.alpha, r.beta))
+    d = np.abs(np.array(got) - got[0]) % math.pi
+    assert np.minimum(d, math.pi - d).max() <= 1e-6
 
 
 def test_witness_undefined_for_collapsed_spin():

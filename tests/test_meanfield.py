@@ -88,11 +88,12 @@ def test_interacting_ground_state_stationary(grid, par):
     assert st.mu[0] == pytest.approx(mu_pert, rel=0.25)
 
 
-def test_ground_state_warm_start(grid, par):
+def test_ground_state_warm_start(grid, par, monkeypatch):
     g4 = par.g4()
     ns = FockVector(100, 100, 0, 0)
     st = ground_state(grid, ns, trap(grid), g4)
-    st2 = ground_state(grid, ns, trap(grid), g4, psi0=st.psi, relax_iters=0)
+    monkeypatch.setattr(becsteer.meanfield, "RELAX_MAX_ITER", 0)
+    st2 = ground_state(grid, ns, trap(grid), g4, psi0=st.psi)
     assert np.abs(st2.mu - st.mu).max() < 1e-9
 
 
@@ -120,9 +121,9 @@ def test_norm_drift_raises(grid, par):
 
 def test_unconverged_polish_raises(grid, par, monkeypatch):
     monkeypatch.setattr(becsteer.meanfield, "POLISH_MAX_ITER", 1)
+    monkeypatch.setattr(becsteer.meanfield, "RELAX_MAX_ITER", 0)
     with pytest.raises(ConvergenceError, match="after 1 descent iterations"):
-        ground_state(grid, FockVector(50, 50, 0, 0), trap(grid), par.g4(),
-                     relax_iters=0)
+        ground_state(grid, FockVector(50, 50, 0, 0), trap(grid), par.g4())
 
 
 def test_ground_state_is_stationary_under_real_time(grid, par):
