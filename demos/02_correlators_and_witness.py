@@ -16,7 +16,8 @@ from becsteer.correlators import (MultiIndex, brute_force_average, epr_witness,
                                   fock_sum_average, spin_moments)
 from becsteer.fockflow import init_trajectories
 from becsteer.grid import build_grid
-from becsteer.meanfield import PhysicalParams, ground_state
+from becsteer.meanfield import PhysicalParams
+from becsteer.sequence import prepulse_state
 
 par = PhysicalParams()
 g4 = par.g4()
@@ -25,10 +26,7 @@ pots = 0.5 * (grid.r[:, None] ** 2 + grid.z[None, :] ** 2) * np.ones((4, 1, 1))
 
 # both wells share one trap here so that they actually interact
 n = 40
-st = ground_state(grid, np.array([n, 0.0, n, 0.0]), pots, g4)
-psi0 = st.psi.copy()
-psi0[1] = psi0[0]
-psi0[3] = psi0[2]
+psi0 = prepulse_state(grid, n, n, pots, g4)
 
 traj = init_trajectories(grid, g4, n, n, psi0)
 traj.run(lambda t: pots, 0.01, 60)

@@ -22,8 +22,8 @@ from .correlators import (CorrelatorInputs, EPRResult, MultiIndex,
                           epr_witness, fock_sum_average, quadrature_moments,
                           spin_moments)
 from .sequence import (PointResult, ProtocolConfig, component_potentials,
-                       prepare_initial, ramp_displacement, run_protocol,
-                       well_separation)
+                       prepare_initial, prepulse_state, ramp_displacement,
+                       run_protocol, well_separation)
 from .oracle4mode import (FourModeState, adiabatic_rates, evolve_exact,
                           extract_chi, four_mode_average, oracle_moments,
                           oracle_witness, pulse_state, twisting_phases)

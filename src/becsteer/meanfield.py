@@ -112,11 +112,12 @@ class FockVector(NamedTuple):
 
 @dataclass
 class ComponentState:
-    """Four wavefunctions evolved with a given Fock configuration."""
+    """Wavefunctions evolved with a given Fock configuration: the four
+    components, or the n_comp that a ground state was asked for."""
 
     grid: object
-    psi: np.ndarray          # (4, n_r, n_z) complex, each unit-normalized
-    fock: FockVector
+    psi: np.ndarray          # (n_comp, n_r, n_z) complex, each unit-normalized
+    fock: FockVector         # or the rounded occupations when n_comp != 4
     t: float = 0.0
     mu: np.ndarray = field(default=None)  # set by ground_state
 
@@ -145,7 +146,8 @@ def _cut(u):
 def _mean_field(g4, psi, ns):
     """g_aa max(N_a - 1, 0) |psi_a|^2 + sum_{a'!=a} g_aa' N_a' |psi_a'|^2.
 
-    psi is (..., 4, n_r, n_z) with occupations ns shaped (..., 4).  The
+    psi is (..., n_comp, n_r, n_z) with occupations ns shaped (..., n_comp)
+    and g4 (n_comp, n_comp); the four components in a run.  The
     intra-species factor removes one self atom and is floored at zero, so
     empty and fractional components stay linear.
     """
@@ -163,7 +165,7 @@ def _norms(grid, f):
 
 
 def _gpe_apply(grid, psi, ns, potentials, g4):
-    """(h + mean field) psi for all four components, and the effective potential."""
+    """(h + mean field) psi for every component, and the effective potential."""
     veff = potentials + _mean_field(g4, psi, ns)
     return apply_kinetic_potential(grid, psi, veff), veff
 
@@ -171,8 +173,10 @@ def _gpe_apply(grid, psi, ns, potentials, g4):
 class SplitStepEvolver:
     """Second-order Strang split-step for the coupled GPE, exp(-h H) per step.
 
-    Real time uses h = i dt.  With imaginary=True, h = dt relaxes towards the
-    ground state instead; the caller renormalizes after each step.  The
+    Real time uses h = i dt, with complex propagators.  With imaginary=True,
+    h = dt relaxes towards the ground state instead; the caller renormalizes
+    after each step.  There h and the propagators are real, so a real
+    wavefunction stays real and every product runs in real arithmetic.  The
     kinetic part is a z half step, an r full step and a z half step, each a
     Cayley (Crank-Nicolson) propagator U = (I + tau/2 K)^-1 (I - tau/2 K)
     with tau = h/2 along z and tau = h along r.  U_r and U_z act on
@@ -199,10 +203,9 @@ class SplitStepEvolver:
         self.g4 = np.asarray(g4, dtype=float)
         self.dt = float(dt)
         self._h = self.dt if imaginary else 1j * self.dt
-        # complex in both modes so that complex wavefunctions pass through
-        u_z = _cayley(*grid.axial_tridiag(), self._h / 2 + 0j)
+        u_z = _cayley(*grid.axial_tridiag(), self._h / 2)
         self._u_zz = _cut(u_z @ u_z)
-        self._u_r = _cut(_cayley(*grid.radial_tridiag(), self._h + 0j))
+        self._u_r = _cut(_cayley(*grid.radial_tridiag(), self._h))
 
     def _kinetic(self, psi):
         return self._u_r @ (psi @ self._u_zz.T)
@@ -252,11 +255,11 @@ def energy_fields(grid, psi, ns, potentials, g4):
     g4 = np.asarray(g4, dtype=float)
     e = 0.0
     dens = np.abs(psi) ** 2
-    for a in range(4):
+    for a in range(len(psi)):
         h_psi = apply_kinetic_potential(grid, psi[a], potentials[a])
         e += ns[a] * np.real(inner(grid, psi[a], h_psi))
         e += 0.5 * g4[a, a] * ns[a] * (ns[a] - 1) * np.real(integrate(grid, dens[a] ** 2))
-        for b in range(4):
+        for b in range(len(psi)):
             if b == a:
                 continue
             e += 0.5 * g4[a, b] * ns[a] * ns[b] * np.real(integrate(grid, dens[a] * dens[b]))
@@ -302,20 +305,27 @@ def _descent_polish(grid, psi, ns, potentials, g4, tol):
 def ground_state(grid, fock, potentials, g4, tol=1e-8, psi0=None):
     """Coupled ground state by imaginary time plus self-consistent polish.
 
-    potentials must be time-independent, shape (4, n_r, n_z).  Returns a
-    ComponentState with chemical potentials attached.
+    Solves every component of potentials, time-independent and shaped
+    (n_comp, n_r, n_z), with occupations fock (n_comp) and couplings g4
+    (n_comp, n_comp).  The Hamiltonian is real, so the relaxation from a real
+    start (a Gaussian, or psi0) stays real and runs in float64; a psi0 with a
+    nonzero imaginary part raises ValueError.  Returns a ComponentState with
+    complex psi and the chemical potentials attached.
     """
     ns = fock.as_array() if isinstance(fock, FockVector) else np.asarray(fock, float)
     potentials = np.asarray(potentials, dtype=float)
     if psi0 is None:
-        psi = np.empty((4,) + grid.shape, dtype=complex)
-        for a in range(4):
-            i0, j0 = np.unravel_index(np.argmin(potentials[a]), grid.shape)
+        psi = np.empty(potentials.shape)
+        for a, v in enumerate(potentials):
+            i0, j0 = np.unravel_index(np.argmin(v), grid.shape)
             z0 = grid.z[j0]
             gauss = np.exp(-0.5 * (grid.r[:, None] ** 2 + (grid.z[None, :] - z0) ** 2))
             psi[a] = gauss / norm(grid, gauss)
     else:
-        psi = psi0.astype(complex).copy()
+        if np.any(np.imag(psi0) != 0.0):
+            raise ValueError("psi0 must be real-valued: the ground state "
+                             "relaxes in real arithmetic")
+        psi = np.real(psi0).astype(float)
         psi /= _norms(grid, psi)[:, None, None]
 
     ev = SplitStepEvolver(grid, g4, RELAX_TAU, imaginary=True)
@@ -331,8 +341,10 @@ def ground_state(grid, fock, potentials, g4, tol=1e-8, psi0=None):
             prev_e = e
 
     psi = _descent_polish(grid, psi, ns, potentials, g4, tol)
-    fv = fock if isinstance(fock, FockVector) else FockVector(*[int(round(x)) for x in ns])
-    return ComponentState(grid, psi, fv, 0.0,
+    if not isinstance(fock, FockVector):
+        occ = tuple(int(round(x)) for x in ns)
+        fock = FockVector(*occ) if len(occ) == 4 else occ
+    return ComponentState(grid, psi.astype(complex), fock, 0.0,
                           chemical_potential(grid, psi, ns, potentials, g4))
 
 

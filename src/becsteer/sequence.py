@@ -137,20 +137,27 @@ def well_separation(grid, psi):
     return normalized_overlap(grid, np.abs(psi[0]) ** 2, np.abs(psi[2]) ** 2)
 
 
+def prepulse_state(grid, n_a, n_b, potentials, g4, tol=1e-8):
+    """Ground state before the pulse, all atoms in state 0 of each well.
+
+    Only a0 and b0 hold atoms, so only they are solved, from the (4, n_r,
+    n_z) potentials and 4 x 4 couplings of the run.  After the
+    instantaneous pulse each internal state inherits the prepared orbital
+    of its well: returns the (4, n_r, n_z) stack (a0, a0, b0, b0).
+    """
+    occ = [0, 2]
+    state = ground_state(grid, [n_a, n_b], np.asarray(potentials)[occ],
+                         np.asarray(g4)[np.ix_(occ, occ)], tol=tol)
+    return state.psi[[0, 0, 1, 1]]
+
+
 def prepare_initial(cfg, params, tol=1e-8):
-    """Ground state before the pulse: all atoms in state 0 of each well;
+    """Ground state before the pulse (prepulse_state) on the run's grid;
     returns (grid, g4, psi0)."""
     grid = cfg.build_grid()
     g4 = params.g4()
     pots = component_potentials(grid, cfg, 0.0, 0.0)
-    ns = np.array([cfg.n_a, 0.0, cfg.n_b, 0.0])
-    state = ground_state(grid, ns, pots, g4, tol=tol)
-    # after the instantaneous pulse each internal state inherits the prepared
-    # orbital of its well
-    psi0 = state.psi.copy()
-    psi0[1] = psi0[0]
-    psi0[3] = psi0[2]
-    return grid, g4, psi0
+    return grid, g4, prepulse_state(grid, cfg.n_a, cfg.n_b, pots, g4, tol=tol)
 
 
 @dataclass

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from becsteer.grid import build_grid
-from becsteer.meanfield import (PhysicalParams, SplitStepEvolver, _mean_field,
-                                ground_state)
+from becsteer.meanfield import PhysicalParams, SplitStepEvolver, _mean_field
 from becsteer.fockflow import (DisplacementError, _wrap, central_fock,
                                init_trajectories)
+from becsteer.sequence import prepulse_state
 
 C = np.ones(4) / np.sqrt(2.0)         # pulse amplitudes for correlator_inputs
 
@@ -16,10 +16,7 @@ def setup():
     grid = build_grid(14, 28, 0.32, 0.32, -4.48)
     g4 = par.g4()
     pots = 0.5 * (grid.r[:, None] ** 2 + grid.z[None, :] ** 2) * np.ones((4, 1, 1))
-    st = ground_state(grid, np.array([40.0, 0.0, 40.0, 0.0]), pots, g4)
-    psi0 = st.psi.copy()
-    psi0[1] = psi0[0]
-    psi0[3] = psi0[2]
+    psi0 = prepulse_state(grid, 40, 40, pots, g4)
     return grid, g4, pots, psi0
 
 

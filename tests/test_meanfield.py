@@ -5,10 +5,12 @@ import pytest
 
 import becsteer.meanfield
 from becsteer.grid import build_grid, integrate, norm
-from becsteer.meanfield import (PROPAGATOR_CUT, ConvergenceError, FockVector,
+from becsteer.meanfield import (PROPAGATOR_CUT, RELAX_MAX_ITER, RELAX_TAU,
+                                RELAX_TOL, ConvergenceError, FockVector,
                                 IntegrationError, PhysicalParams,
-                                SplitStepEvolver, _cayley, chemical_potential,
-                                energy_fields,
+                                SplitStepEvolver, _cayley, _cut,
+                                _descent_polish, _mean_field,
+                                chemical_potential, energy_fields,
                                 gpe_residual, ground_state, load_snapshot,
                                 save_snapshot, stable_dt)
 
@@ -95,6 +97,59 @@ def test_ground_state_warm_start(grid, par, monkeypatch):
     monkeypatch.setattr(becsteer.meanfield, "RELAX_MAX_ITER", 0)
     st2 = ground_state(grid, ns, trap(grid), g4, psi0=st.psi)
     assert np.abs(st2.mu - st.mu).max() < 1e-9
+
+
+def complex_ground_state(grid, ns, pots, g4, tol):
+    """ground_state written out in complex arithmetic: a complex Gaussian
+    start, complex Cayley factors and phases, the same relaxation and polish."""
+    psi = np.empty(pots.shape, dtype=complex)
+    for a, v in enumerate(pots):
+        z0 = grid.z[np.unravel_index(np.argmin(v), grid.shape)[1]]
+        gauss = np.exp(-0.5 * (grid.r[:, None] ** 2 + (grid.z[None, :] - z0) ** 2))
+        psi[a] = gauss / norm(grid, gauss)
+    u_z = _cayley(*grid.axial_tridiag(), RELAX_TAU / 2 + 0j)
+    u_zz = _cut(u_z @ u_z)
+    u_r = _cut(_cayley(*grid.radial_tridiag(), RELAX_TAU + 0j))
+
+    def half_phase(f):
+        return f * np.exp(-0.5 * (RELAX_TAU + 0j) * (pots + _mean_field(g4, f, ns)))
+
+    prev_e = np.inf
+    for it in range(RELAX_MAX_ITER):
+        psi = half_phase(u_r @ (half_phase(psi) @ u_zz.T))
+        psi = psi / norm(grid, psi)[:, None, None]
+        if it % 25 == 24:
+            e = energy_fields(grid, psi, ns, pots, g4)
+            if abs(prev_e - e) < RELAX_TOL * max(abs(e), 1.0):
+                break
+            prev_e = e
+    return _descent_polish(grid, psi, ns, pots, g4, tol)
+
+
+@pytest.mark.parametrize("ns", [[60.0, 40.0], [50.0, 0.0, 30.0, 10.0]],
+                         ids=["two", "four"])
+def test_real_ground_state_matches_complex_arithmetic(grid, par, ns):
+    # displaced traps, so that no two components share an orbital
+    ns = np.array(ns)
+    shifts = 0.6 * (np.arange(len(ns)) - 0.5 * (len(ns) - 1))
+    pots = 0.5 * (grid.r[None, :, None] ** 2
+                  + (grid.z[None, None, :] - shifts[:, None, None]) ** 2)
+    g4 = par.g4()[:len(ns), :len(ns)]
+    st = ground_state(grid, ns, pots, g4)
+    want = complex_ground_state(grid, ns, pots, g4, 1e-8)
+    assert st.psi.dtype == complex and st.psi.shape == want.shape
+    assert np.abs(st.psi - want).max() <= 1e-13
+    mu = chemical_potential(grid, want, ns, pots, g4)
+    assert np.abs(st.mu - mu).max() <= 1e-13 * np.abs(mu).max()
+
+
+def test_ground_state_refuses_a_complex_start(grid, par):
+    ns = FockVector(10, 10, 0, 0)
+    st = ground_state(grid, ns, trap(grid), par.g4())
+    # a ground state is real, so it is a valid warm start (extract_chi's)
+    assert not st.psi.imag.any()
+    with pytest.raises(ValueError, match="real-valued"):
+        ground_state(grid, ns, trap(grid), par.g4(), psi0=st.psi * np.exp(0.3j))
 
 
 def test_split_step_preserves_norm(grid, par):

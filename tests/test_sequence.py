@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from becsteer.meanfield import PhysicalParams
+import becsteer.meanfield
+from becsteer.grid import norm
+from becsteer.meanfield import PhysicalParams, gpe_residual, ground_state
 from becsteer.sequence import (PointResult, ProtocolConfig,
                                component_potentials, displacement_schedule,
                                hold_forks, prepare_initial, ramp_displacement,
@@ -109,6 +111,40 @@ def test_prepare_initial_copies_orbitals(prep):
     assert np.allclose(nrm, 1.0, atol=1e-10)
     # the prepared wells are spatially separated
     assert well_separation(grid, psi0) < 0.2
+
+
+def test_prepulse_solves_only_the_occupied_components(monkeypatch):
+    seen = set()
+    original = becsteer.meanfield._gpe_apply
+
+    def recording(grid, psi, *args):
+        seen.add((psi.shape[0], psi.dtype.name))
+        return original(grid, psi, *args)
+
+    monkeypatch.setattr(becsteer.meanfield, "_gpe_apply", recording)
+    prepare_initial(tiny_cfg(), PhysicalParams(), tol=1e-7)
+    # a0 and b0 only, in real arithmetic
+    assert seen == {(2, "float64")}
+
+
+def test_prepulse_matches_the_four_component_solve():
+    # at N = 1000 on the tiny grid the empty a1 and b1 keep a four-component
+    # polish going after a0 has converged, so the two solves differ
+    tol = 1e-7
+    cfg = tiny_cfg(n_a=1000, n_b=1000)
+    grid, g4, psi0 = prepare_initial(cfg, PhysicalParams(), tol=tol)
+    pots = component_potentials(grid, cfg, 0.0, 0.0)
+    occ = [0, 2]
+    res = gpe_residual(grid, psi0[occ], [cfg.n_a, cfg.n_b], pots[occ],
+                       g4[np.ix_(occ, occ)])
+    assert res.max() < tol
+    four = ground_state(grid, [cfg.n_a, 0, cfg.n_b, 0], pots, g4, tol=tol)
+    assert gpe_residual(grid, four.psi, [cfg.n_a, 0, cfg.n_b, 0], pots,
+                        g4)[occ].max() < tol
+    # a residual below tol puts a state within tol / (E1 - mu) of the exact
+    # one, and E1 - mu of a0's and b0's effective Hamiltonians is 0.68 here
+    # (dense eigvalsh on this 8 x 25 grid): the two within 2 tol / 0.68
+    assert norm(grid, psi0[occ] - four.psi[occ]).max() < 3 * tol
 
 
 def test_one_hold_time_end_to_end():
