@@ -26,9 +26,9 @@ grid = cfg.build_grid()
 # the traps at the end of the forward ramp: a0 over b1
 pots = component_potentials(grid, cfg, cfg.t_ramp, 0.0)
 ns = np.array([250.0, 250.0, 250.0, 250.0])
-st = ground_state(grid, ns, pots, par.g4(), tol=1e-7)
+psi = ground_state(grid, ns, pots, par.g4(), tol=1e-7)
 
-budget = loss_estimate(grid, st.psi, ns, par, t_hold=0.2)
+budget = loss_estimate(grid, psi, ns, par, t_hold=0.2)
 print(f"\nloss rates (atoms/s) over the {budget.t:g} s hold:")
 print(f"  one-body        {budget.rate_1b:8.3f}")
 print(f"  two-body 1-1    {budget.rate_2b_11:8.3f}")

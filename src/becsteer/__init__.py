@@ -10,10 +10,10 @@ reference model and a static loss budget.
 __version__ = "0.1.0"
 
 from .grid import CylGrid, GridError, build_grid, inner, integrate, norm
-from .meanfield import (ComponentState, ConvergenceError, FockVector,
-                        IntegrationError, PhysicalParams, SplitStepEvolver,
-                        chemical_potential, gpe_residual, ground_state,
-                        load_snapshot, save_snapshot, stable_dt)
+from .meanfield import (ConvergenceError, FockVector, IntegrationError,
+                        PhysicalParams, SplitStepEvolver, chemical_potential,
+                        gpe_residual, ground_state, load_snapshot,
+                        save_snapshot, stable_dt)
 from .fockflow import (DisplacementError, TrajectorySet, central_fock,
                        init_trajectories)
 from .correlators import (CorrelatorInputs, EPRResult, MultiIndex,

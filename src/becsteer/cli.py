@@ -243,9 +243,9 @@ def _cmd_losses(cfg, args, out_dir):
     pots = component_potentials(grid, proto, proto.t_ramp, 0.0)
     ns = np.array([proto.n_a / 2.0, proto.n_a / 2.0,
                    proto.n_b / 2.0, proto.n_b / 2.0])
-    st = ground_state(grid, ns, pots, cfg.params.g4(),
-                      tol=cfg.values["gs_tol"])
-    budget = loss_estimate(grid, st.psi, ns, cfg.params,
+    psi = ground_state(grid, ns, pots, cfg.params.g4(),
+                       tol=cfg.values["gs_tol"])
+    budget = loss_estimate(grid, psi, ns, cfg.params,
                            cfg.values["t_loss"] / cfg.params.omega)
     doc = {
         "t_hold_s": budget.t,
@@ -302,15 +302,13 @@ def _cmd_check(args):
     gs = {}
 
     def _ground():
-        st = ground_state(grid, np.array([10., 10., 10., 10.]), V, g4)
-        res = gpe_residual(grid, st.psi, st.fock.as_array(), V, g4)
-        gs["st"] = st
-        assert res.max() < 1e-7
+        ns = np.array([10., 10., 10., 10.])
+        gs["psi"] = ground_state(grid, ns, V, g4)
+        assert gpe_residual(grid, gs["psi"], ns, V, g4).max() < 1e-7
     check("ground state stationary to 1e-7", _ground)
 
     def _pipeline():
-        st = gs["st"]
-        traj = init_trajectories(grid, g4, 20, 20, st.psi, beta=1)
+        traj = init_trajectories(grid, g4, 20, 20, gs["psi"], beta=1)
         C = np.ones(4) / math.sqrt(2)
         traj.run(lambda t: V, 0.01, 40)
         assert abs(traj.theta(1, 1) + traj.theta(-1, -1)) < 1e-14

@@ -14,8 +14,9 @@ import copy
 
 import numpy as np
 
-from .grid import integrate, normalized_overlap
-from .meanfield import FockVector, SplitStepEvolver
+from .correlators import CorrelatorInputs
+from .grid import inner, integrate, normalized_overlap
+from .meanfield import FockVector, SplitStepEvolver, _mean_field
 
 DENSITY_FLOOR = 1e-8
 
@@ -78,24 +79,19 @@ class TrajectorySet:
     # -- low-level helpers ---------------------------------------------------
 
     def _theta_rate(self):
-        """d(theta_coeff)/dt from the central configuration densities."""
-        dens = np.abs(self._psi[self.CENTER]) ** 2
-        pair = np.array([[np.real(integrate(self.grid, dens[a] * dens[b]))
-                          for b in range(4)] for a in range(4)])
-        rate = np.zeros(4)
-        for ap in range(4):
-            for a in range(4):
-                if a != ap:
-                    rate[ap] -= 0.5 * self.g4[a, ap] * pair[a, ap]
-        return rate
+        """d(theta_coeff)/dt from the central configuration densities,
+        -1/2 sum_{a' != a} g_aa' int |psi_a|^2 |psi_a'|^2 for each a: at unit
+        occupations the mean field of a holds the other components only."""
+        center = self._psi[self.CENTER]
+        return -0.5 * integrate(self.grid, np.abs(center) ** 2
+                                * _mean_field(self.g4, center, np.ones(4)))
 
     def _update_mean_phases(self):
         # the axis configurations are the ones after the centre.  This reads
         # the open state: its relative phases differ from the closed ones by
         # the small pending half phase, which phase_gradients absorbs as it
         # takes angle() relative to _raw_prev
-        ov = np.sum(self.grid.weights * np.conj(self._psi[self.CENTER])
-                    * self._psi[1:], axis=(-2, -1))
+        ov = inner(self.grid, self._psi[self.CENTER], self._psi[1:])
         raw = np.angle(ov)
         inc = _wrap(raw - self._raw_prev[1:])
         self.unwrap_step = max(self.unwrap_step, float(np.abs(inc).max()))
@@ -198,8 +194,6 @@ class TrajectorySet:
 
     def correlator_inputs(self, C):
         """Snapshot of everything the correlator evaluation needs."""
-        from .correlators import CorrelatorInputs
-
         grads = self.phase_gradients()
         m = self.grid.n_r * self.grid.n_z
         return CorrelatorInputs(

@@ -103,7 +103,8 @@ def inner(grid, f, g):
 
 
 def norm(grid, f):
-    return np.sqrt(np.real(inner(grid, f, f)))
+    """Grid norm of each (n_r, n_z) field in f."""
+    return np.sqrt(integrate(grid, np.abs(f) ** 2))
 
 
 def apply_kinetic_potential(grid, psi, V):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import integrate
+
 
 @dataclass
 class LossBudget:
@@ -57,11 +59,10 @@ def loss_estimate(grid, psi, ns, params, t_hold):
     dens = np.abs(psi) ** 2 * ns[:, None, None]       # dimensionless, per a_ho^3
     n0 = dens[0] + dens[2]                            # internal state 0
     n1 = dens[1] + dens[3]
-    w = grid.weights
     # integral of n^p d^3x in SI carries a_ho^(3 - 3p) from the density powers
-    int_11 = float(np.sum(w * n1 * n1)) / a3
-    int_01 = float(np.sum(w * n0 * n1)) / a3
-    int_000 = float(np.sum(w * n0 ** 3)) / a3 ** 2
+    int_11 = float(integrate(grid, n1 * n1)) / a3
+    int_01 = float(integrate(grid, n0 * n1)) / a3
+    int_000 = float(integrate(grid, n0 ** 3)) / a3 ** 2
     n_total = ns.sum()
     return LossBudget(
         rate_1b=n_total / params.tau_1,

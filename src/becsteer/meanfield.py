@@ -6,12 +6,12 @@ everything is in oscillator units hbar = m = omega = 1.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import integrate, inner, norm, apply_kinetic_potential
+from .grid import CylGrid, integrate, inner, norm, apply_kinetic_potential
 
 BOHR_RADIUS = 5.2918e-11        # m
 HBAR = 1.054571817e-34          # J s
@@ -110,18 +110,6 @@ class FockVector(NamedTuple):
         return np.array(self, dtype=float)
 
 
-@dataclass
-class ComponentState:
-    """Wavefunctions evolved with a given Fock configuration: the four
-    components, or the n_comp that a ground state was asked for."""
-
-    grid: object
-    psi: np.ndarray          # (n_comp, n_r, n_z) complex, each unit-normalized
-    fock: FockVector         # or the rounded occupations when n_comp != 4
-    t: float = 0.0
-    mu: np.ndarray = field(default=None)  # set by ground_state
-
-
 def _cayley(sub, diag, sup, tau):
     """Dense (I + tau/2 K)^-1 (I - tau/2 K) for K = -L/2, L = (sub, diag, sup)."""
     k = -0.5 * (np.diag(sub[1:], -1) + np.diag(diag) + np.diag(sup[:-1], 1))
@@ -159,15 +147,13 @@ def _mean_field(g4, psi, ns):
     return tot
 
 
-def _norms(grid, f):
-    """Grid norm of each (n_r, n_z) field in f."""
-    return np.sqrt(np.sum(grid.weights * np.abs(f) ** 2, axis=(-2, -1)))
-
-
-def _gpe_apply(grid, psi, ns, potentials, g4):
-    """(h + mean field) psi for every component, and the effective potential."""
+def _gpe_residual(grid, psi, ns, potentials, g4):
+    """((H - mu) psi, mu, effective potential) for H = h + mean field and
+    mu = Re<psi|H psi> per component."""
     veff = potentials + _mean_field(g4, psi, ns)
-    return apply_kinetic_potential(grid, psi, veff), veff
+    h_psi = apply_kinetic_potential(grid, psi, veff)
+    mu = np.real(inner(grid, psi, h_psi))
+    return h_psi - mu[..., None, None] * psi, mu, veff
 
 
 class SplitStepEvolver:
@@ -227,7 +213,7 @@ class SplitStepEvolver:
         return self.phase(self._kinetic(psi), ns, v_t_dt, 1.0)
 
     def check_norms(self, psi):
-        nrm = np.real(np.sum(self.grid.weights * np.abs(psi) ** 2, axis=(-2, -1)))
+        nrm = integrate(self.grid, np.abs(psi) ** 2)
         drift = np.max(np.abs(nrm - 1.0))
         if drift > NORM_TOL:
             raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_TOL:.1e}")
@@ -237,7 +223,12 @@ class SplitStepEvolver:
 def stable_dt(grid, g4, potentials, psi, ns):
     """Step-size rule max(|V| + g n_max) dt < DT_MARGIN, restricted to the
     region the wavefunctions actually sample (density above DT_FLOOR of the
-    peak)."""
+    peak).
+
+    Its g n sums g_aa' N_a' |psi_a'|^2 over every a', the self atom
+    included: an upper bound on the mean field.  It stays apart from
+    _mean_field, whose self factor max(N_a - 1, 0) would change the dt of
+    every config that leaves dt unset."""
     dens = np.abs(psi) ** 2
     mask = dens.max(axis=tuple(range(dens.ndim - 2))) > DT_FLOOR * dens.max()
     gn = np.einsum("ab,...bij->...aij", np.asarray(g4), np.asarray(ns)[..., :, None, None] * dens)
@@ -248,35 +239,24 @@ def stable_dt(grid, g4, potentials, psi, ns):
 def energy_fields(grid, psi, ns, potentials, g4):
     """Energy functional of the multicomponent condensate.
 
-    E = sum_a N_a <phi_a|h_a|phi_a> + sum_a g_aa/2 N_a(N_a-1) int |phi_a|^4
-        + sum_{a != a'} g_aa'/2 N_a N_a' int |phi_a|^2 |phi_a'|^2
+    E = sum_a N_a <phi_a|h_a + mean field / 2|phi_a>
+      = sum_a N_a <phi_a|h_a|phi_a> + sum_a g_aa/2 N_a max(N_a-1, 0) int |phi_a|^4
+        + sum_{a != a'} g_aa'/2 N_a N_a' int |phi_a|^2 |phi_a'|^2,
+    with the self-interaction floor of the GPE's mean field.
     """
     ns = np.asarray(ns, dtype=float)
-    g4 = np.asarray(g4, dtype=float)
-    e = 0.0
-    dens = np.abs(psi) ** 2
-    for a in range(len(psi)):
-        h_psi = apply_kinetic_potential(grid, psi[a], potentials[a])
-        e += ns[a] * np.real(inner(grid, psi[a], h_psi))
-        e += 0.5 * g4[a, a] * ns[a] * (ns[a] - 1) * np.real(integrate(grid, dens[a] ** 2))
-        for b in range(len(psi)):
-            if b == a:
-                continue
-            e += 0.5 * g4[a, b] * ns[a] * ns[b] * np.real(integrate(grid, dens[a] * dens[b]))
-    return e
+    veff = potentials + 0.5 * _mean_field(g4, psi, ns)
+    return ns @ np.real(inner(grid, psi, apply_kinetic_potential(grid, psi, veff)))
 
 
 def chemical_potential(grid, psi, ns, potentials, g4):
     """Per-component chemical potentials mu_a = <phi_a|h_a + mean field|phi_a>."""
-    h_psi, _ = _gpe_apply(grid, psi, ns, potentials, g4)
-    return np.real(inner(grid, psi, h_psi))
+    return _gpe_residual(grid, psi, ns, potentials, g4)[1]
 
 
 def gpe_residual(grid, psi, ns, potentials, g4):
     """Grid norm of (h + mean field - mu) phi per component."""
-    h_psi, _ = _gpe_apply(grid, psi, ns, potentials, g4)
-    mu = np.real(inner(grid, psi, h_psi))
-    return norm(grid, h_psi - mu[:, None, None] * psi)
+    return norm(grid, _gpe_residual(grid, psi, ns, potentials, g4)[0])
 
 
 def _descent_polish(grid, psi, ns, potentials, g4, tol):
@@ -288,31 +268,29 @@ def _descent_polish(grid, psi, ns, potentials, g4, tol):
     """
     lam_kin = 0.5 * (4.0 / grid.dr**2 + 4.0 / grid.dz**2)
     for it in range(POLISH_MAX_ITER):
-        hpsi, veff = _gpe_apply(grid, psi, ns, potentials, g4)
-        mu = np.real(inner(grid, psi, hpsi))
-        res_vec = hpsi - mu[:, None, None] * psi
-        resn = _norms(grid, res_vec)
+        res_vec, mu, veff = _gpe_residual(grid, psi, ns, potentials, g4)
+        resn = norm(grid, res_vec)
         if resn.max() < tol:
             return psi
         tau = 1.8 / (lam_kin + veff.max(axis=(-2, -1))[:, None, None] - mu[:, None, None])
         psi = psi - tau * res_vec
-        psi = psi / _norms(grid, psi)[:, None, None]
+        psi = psi / norm(grid, psi)[:, None, None]
     raise ConvergenceError(
         f"ground state not converged after {POLISH_MAX_ITER} descent iterations, "
         f"residual {resn.max():.3e}")
 
 
-def ground_state(grid, fock, potentials, g4, tol=1e-8, psi0=None):
+def ground_state(grid, ns, potentials, g4, tol=1e-8, psi0=None):
     """Coupled ground state by imaginary time plus self-consistent polish.
 
     Solves every component of potentials, time-independent and shaped
-    (n_comp, n_r, n_z), with occupations fock (n_comp) and couplings g4
+    (n_comp, n_r, n_z), with occupations ns (n_comp) and couplings g4
     (n_comp, n_comp).  The Hamiltonian is real, so the relaxation from a real
     start (a Gaussian, or psi0) stays real and runs in float64; a psi0 with a
-    nonzero imaginary part raises ValueError.  Returns a ComponentState with
-    complex psi and the chemical potentials attached.
+    nonzero imaginary part raises ValueError.  Returns the real float64
+    (n_comp, n_r, n_z) wavefunctions, each unit-normalized.
     """
-    ns = fock.as_array() if isinstance(fock, FockVector) else np.asarray(fock, float)
+    ns = np.asarray(ns, dtype=float)
     potentials = np.asarray(potentials, dtype=float)
     if psi0 is None:
         psi = np.empty(potentials.shape)
@@ -326,26 +304,21 @@ def ground_state(grid, fock, potentials, g4, tol=1e-8, psi0=None):
             raise ValueError("psi0 must be real-valued: the ground state "
                              "relaxes in real arithmetic")
         psi = np.real(psi0).astype(float)
-        psi /= _norms(grid, psi)[:, None, None]
+        psi /= norm(grid, psi)[:, None, None]
 
     ev = SplitStepEvolver(grid, g4, RELAX_TAU, imaginary=True)
     prev_e = np.inf
     for it in range(RELAX_MAX_ITER):
         # not `step`, whose calls count the real-time steps of a run
         psi = ev._strang(psi, ns, potentials, potentials)
-        psi = psi / _norms(grid, psi)[:, None, None]
+        psi = psi / norm(grid, psi)[:, None, None]
         if it % 25 == 24:
             e = energy_fields(grid, psi, ns, potentials, g4)
             if abs(prev_e - e) < RELAX_TOL * max(abs(e), 1.0):
                 break
             prev_e = e
 
-    psi = _descent_polish(grid, psi, ns, potentials, g4, tol)
-    if not isinstance(fock, FockVector):
-        occ = tuple(int(round(x)) for x in ns)
-        fock = FockVector(*occ) if len(occ) == 4 else occ
-    return ComponentState(grid, psi.astype(complex), fock, 0.0,
-                          chemical_potential(grid, psi, ns, potentials, g4))
+    return _descent_polish(grid, psi, ns, potentials, g4, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +345,6 @@ def save_snapshot(path, grid, psi, fock, t):
 
 def load_snapshot(path):
     """Read a snapshot written by save_snapshot; returns (grid, psi, fock, t)."""
-    from .grid import CylGrid
-
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("# becsteer-snapshot v"):

@@ -20,7 +20,8 @@ import numpy as np
 
 from .correlators import (binomial_weights, epr_witness, falling,
                           spin_moments)
-from .meanfield import ground_state
+from .meanfield import chemical_potential, ground_state
+from .sequence import component_potentials
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,8 @@ def extract_chi(grid, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
     centered finite differences of ground-state chemical potentials with
     step dn.  The symmetric cross form reduces to the overlap-pair derivative
     when the non-interacting clouds are disjoint, but stays valid in any
-    geometry.  Returns (chi_a, chi_b, chi_ab, central ground state).
+    geometry.  Returns (chi_a, chi_b, chi_ab, central ground state), the
+    last a real (4, n_r, n_z) array.
     """
     ns = np.asarray(ns, dtype=float)
     if dn is None:
@@ -131,8 +133,8 @@ def extract_chi(grid, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
 
     def mus(shift):
         occ = ns + shift
-        return ground_state(grid, occ, potentials, g4, tol=tol,
-                            psi0=center.psi).mu
+        psi = ground_state(grid, occ, potentials, g4, tol=tol, psi0=center)
+        return chemical_potential(grid, psi, occ, potentials, g4)
 
     mu_pa = mus(+dn * u_a)
     mu_ma = mus(-dn * u_a)
@@ -155,8 +157,6 @@ def adiabatic_rates(cfg, params, n_samples=9, tol=1e-8):
     warm-started from neighbouring samples) and integrates it with the
     trapezoidal rule; the hold keeps the end rate (see `twisting_phases`).
     """
-    from .sequence import component_potentials
-
     grid = cfg.build_grid()
     g4 = params.g4()
     ns = np.array([cfg.n_a / 2.0, cfg.n_a / 2.0, cfg.n_b / 2.0, cfg.n_b / 2.0])
@@ -167,9 +167,8 @@ def adiabatic_rates(cfg, params, n_samples=9, tol=1e-8):
     psi0 = None
     for t in ts:
         pots = component_potentials(grid, cfg, t, 0.0)
-        ca, cb, cab, center = extract_chi(grid, pots, ns, g4, tol=tol,
-                                          psi0=psi0)
-        psi0 = center.psi
+        ca, cb, cab, psi0 = extract_chi(grid, pots, ns, g4, tol=tol,
+                                        psi0=psi0)
         chis.append((ca, cb, cab))
     chis = np.array(chis)
     ramp = (np.diff(ts)[:, None] * (chis[1:] + chis[:-1]) / 2.0).sum(axis=0)

@@ -146,9 +146,9 @@ def prepulse_state(grid, n_a, n_b, potentials, g4, tol=1e-8):
     of its well: returns the (4, n_r, n_z) stack (a0, a0, b0, b0).
     """
     occ = [0, 2]
-    state = ground_state(grid, [n_a, n_b], np.asarray(potentials)[occ],
-                         np.asarray(g4)[np.ix_(occ, occ)], tol=tol)
-    return state.psi[[0, 0, 1, 1]]
+    psi = ground_state(grid, [n_a, n_b], np.asarray(potentials)[occ],
+                       np.asarray(g4)[np.ix_(occ, occ)], tol=tol)
+    return psi[[0, 0, 1, 1]]
 
 
 def prepare_initial(cfg, params, tol=1e-8):

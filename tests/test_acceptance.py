@@ -261,8 +261,8 @@ def test_criterion_6_loss_estimate():
     grid = cfg.build_grid()
     pots = component_potentials(grid, cfg, cfg.t_ramp, 0.0)
     ns = np.array([250.0, 250.0, 250.0, 250.0])
-    st = ground_state(grid, ns, pots, par.g4(), tol=1e-7)
-    b = loss_estimate(grid, st.psi, ns, par, t_hold=0.2)
+    psi = ground_state(grid, ns, pots, par.g4(), tol=1e-7)
+    b = loss_estimate(grid, psi, ns, par, t_hold=0.2)
     ok_2b = 3.5 <= b.n_lost_2b <= 14.0
     ok_frac = 0.5e-2 <= b.lost_fraction <= 2e-2
     report(6, "loss estimate", ok_2b and ok_frac,
@@ -284,8 +284,8 @@ def test_criterion_7_conservation():
     # a genuinely dynamic state for the conservation checks
     pots0 = 0.5 * (grid.r[:, None] ** 2 + grid.z[None, :] ** 2) \
         * np.ones((4, 1, 1))
-    st = ground_state(grid, np.array([20., 20., 20., 20.]), pots0, g4)
-    traj = init_trajectories(grid, g4, 40, 40, st.psi)
+    psi0 = ground_state(grid, np.array([20., 20., 20., 20.]), pots0, g4)
+    traj = init_trajectories(grid, g4, 40, 40, psi0)
     ns_c = np.array(traj.focks[traj.CENTER].as_array(), float)
     e0 = energy_fields(grid, traj.psi[traj.CENTER], ns_c, pots, g4)
     dt = 0.005

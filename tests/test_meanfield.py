@@ -69,34 +69,39 @@ def test_fock_vector_displaced():
 
 def test_noninteracting_ground_state(grid, par):
     # one atom: mu should be the oscillator ground energy 3/2 (discretized)
-    st = ground_state(grid, FockVector(1, 0, 0, 0), trap(grid), par.g4())
-    assert st.mu[0] == pytest.approx(1.5, abs=2e-2)
-    res = gpe_residual(grid, st.psi, st.fock.as_array(), trap(grid), par.g4())
+    ns = FockVector(1, 0, 0, 0).as_array()
+    psi = ground_state(grid, ns, trap(grid), par.g4())
+    mu = chemical_potential(grid, psi, ns, trap(grid), par.g4())
+    assert mu[0] == pytest.approx(1.5, abs=2e-2)
+    res = gpe_residual(grid, psi, ns, trap(grid), par.g4())
     assert res.max() < 1e-7
 
 
 def test_interacting_ground_state_stationary(grid, par):
     g4 = par.g4()
     ns = FockVector(250, 250, 0, 0)
-    st = ground_state(grid, ns, trap(grid), g4)
-    res = gpe_residual(grid, st.psi, ns.as_array(), trap(grid), g4)
+    psi = ground_state(grid, ns, trap(grid), g4)
+    res = gpe_residual(grid, psi, ns.as_array(), trap(grid), g4)
     assert res.max() < 1e-7
     # interactions raise mu above the single-particle value
-    assert st.mu[0] > 1.6
+    mu = chemical_potential(grid, psi, ns.as_array(), trap(grid), g4)
+    assert mu[0] > 1.6
     # perturbative estimate for a weakly interacting cloud:
     # mu ~ 1.5 + g (N-1) int |phi_0|^4 evaluated with the Gaussian orbital
     mu_pert = 1.5 + g4[0, 0] * 499 / (2 * math.pi) ** 1.5 / 2 ** 1.5 \
         + g4[0, 1] * 250 / (2 * math.pi) ** 1.5
-    assert st.mu[0] == pytest.approx(mu_pert, rel=0.25)
+    assert mu[0] == pytest.approx(mu_pert, rel=0.25)
 
 
 def test_ground_state_warm_start(grid, par, monkeypatch):
     g4 = par.g4()
     ns = FockVector(100, 100, 0, 0)
-    st = ground_state(grid, ns, trap(grid), g4)
+    psi = ground_state(grid, ns, trap(grid), g4)
     monkeypatch.setattr(becsteer.meanfield, "RELAX_MAX_ITER", 0)
-    st2 = ground_state(grid, ns, trap(grid), g4, psi0=st.psi)
-    assert np.abs(st2.mu - st.mu).max() < 1e-9
+    psi2 = ground_state(grid, ns, trap(grid), g4, psi0=psi)
+    mu, mu2 = (chemical_potential(grid, f, ns, trap(grid), g4)
+               for f in (psi, psi2))
+    assert np.abs(mu2 - mu).max() < 1e-9
 
 
 def complex_ground_state(grid, ns, pots, g4, tol):
@@ -135,27 +140,28 @@ def test_real_ground_state_matches_complex_arithmetic(grid, par, ns):
     pots = 0.5 * (grid.r[None, :, None] ** 2
                   + (grid.z[None, None, :] - shifts[:, None, None]) ** 2)
     g4 = par.g4()[:len(ns), :len(ns)]
-    st = ground_state(grid, ns, pots, g4)
+    psi = ground_state(grid, ns, pots, g4)
     want = complex_ground_state(grid, ns, pots, g4, 1e-8)
-    assert st.psi.dtype == complex and st.psi.shape == want.shape
-    assert np.abs(st.psi - want).max() <= 1e-13
+    assert psi.dtype == float and psi.shape == want.shape
+    assert np.abs(psi - want).max() <= 1e-13
     mu = chemical_potential(grid, want, ns, pots, g4)
-    assert np.abs(st.mu - mu).max() <= 1e-13 * np.abs(mu).max()
+    got = chemical_potential(grid, psi, ns, pots, g4)
+    assert np.abs(got - mu).max() <= 1e-13 * np.abs(mu).max()
 
 
 def test_ground_state_refuses_a_complex_start(grid, par):
     ns = FockVector(10, 10, 0, 0)
-    st = ground_state(grid, ns, trap(grid), par.g4())
+    psi = ground_state(grid, ns, trap(grid), par.g4())
     # a ground state is real, so it is a valid warm start (extract_chi's)
-    assert not st.psi.imag.any()
+    assert not psi.imag.any()
     with pytest.raises(ValueError, match="real-valued"):
-        ground_state(grid, ns, trap(grid), par.g4(), psi0=st.psi * np.exp(0.3j))
+        ground_state(grid, ns, trap(grid), par.g4(), psi0=psi * np.exp(0.3j))
 
 
 def test_split_step_preserves_norm(grid, par):
     ev = SplitStepEvolver(grid, par.g4(), 0.01)
-    st = ground_state(grid, FockVector(50, 50, 50, 50), trap(grid), par.g4())
-    psi = st.psi[None].repeat(3, axis=0)
+    psi = ground_state(grid, FockVector(50, 50, 50, 50), trap(grid), par.g4())
+    psi = psi[None].repeat(3, axis=0)
     ns = np.full((3, 4), 50.0)
     psi = ev.phase(psi, ns, trap(grid), 0.5)
     for _ in range(50):
@@ -167,11 +173,11 @@ def test_split_step_preserves_norm(grid, par):
 
 def test_norm_drift_raises(grid, par):
     ev = SplitStepEvolver(grid, par.g4(), 0.01)
-    st = ground_state(grid, FockVector(50, 50, 50, 50), trap(grid), par.g4())
-    assert ev.check_norms(st.psi) < 1e-12
+    psi = ground_state(grid, FockVector(50, 50, 50, 50), trap(grid), par.g4())
+    assert ev.check_norms(psi) < 1e-12
     # a 0.1 % amplitude error is a norm drift of 2e-3
     with pytest.raises(IntegrationError, match="norm drift"):
-        ev.check_norms(1.001 * st.psi)
+        ev.check_norms(1.001 * psi)
 
 
 def test_unconverged_polish_raises(grid, par, monkeypatch):
@@ -184,9 +190,9 @@ def test_unconverged_polish_raises(grid, par, monkeypatch):
 def test_ground_state_is_stationary_under_real_time(grid, par):
     g4 = par.g4()
     ns = FockVector(50, 50, 0, 0)
-    st = ground_state(grid, ns, trap(grid), g4, tol=1e-10)
+    psi0 = ground_state(grid, ns, trap(grid), g4, tol=1e-10)
     ev = SplitStepEvolver(grid, g4, 0.01)
-    psi = st.psi.copy()
+    psi = psi0.copy()
     e0 = energy_fields(grid, psi, ns.as_array(), trap(grid), g4)
     psi = ev.phase(psi, ns.as_array(), trap(grid), 0.5)
     for _ in range(200):
@@ -195,56 +201,66 @@ def test_ground_state_is_stationary_under_real_time(grid, par):
     e1 = energy_fields(grid, psi, ns.as_array(), trap(grid), g4)
     assert abs(e1 - e0) < 1e-6 * abs(e0)
     # only a global phase evolves
-    ov = abs(np.sum(grid.weights * np.conj(st.psi[0]) * psi[0]))
+    ov = abs(np.sum(grid.weights * np.conj(psi0[0]) * psi[0]))
     assert ov == pytest.approx(1.0, abs=1e-8)
 
 
 def test_stable_dt_scales_with_coupling(grid, par):
-    st = ground_state(grid, FockVector(100, 100, 0, 0), trap(grid), par.g4())
-    dt1 = stable_dt(grid, par.g4(), trap(grid), st.psi,
+    psi = ground_state(grid, FockVector(100, 100, 0, 0), trap(grid), par.g4())
+    dt1 = stable_dt(grid, par.g4(), trap(grid), psi,
                     np.array([100.0, 100.0, 0.0, 0.0]))
-    dt2 = stable_dt(grid, 10 * par.g4(), trap(grid), st.psi,
+    dt2 = stable_dt(grid, 10 * par.g4(), trap(grid), psi,
                     np.array([100.0, 100.0, 0.0, 0.0]))
     assert 0 < dt2 < dt1
 
 
 def test_snapshot_roundtrip(tmp_path, grid, par):
-    st = ground_state(grid, FockVector(10, 10, 10, 10), trap(grid), par.g4())
+    fock = FockVector(10, 10, 10, 10)
+    psi = ground_state(grid, fock, trap(grid), par.g4())
     path = tmp_path / "snap.txt"
-    save_snapshot(path, grid, st.psi, st.fock, 1.25)
+    save_snapshot(path, grid, psi, fock, 1.25)
     g2, psi2, fock2, t2 = load_snapshot(path)
     assert g2.shape == grid.shape and g2.dr == grid.dr
-    assert fock2 == st.fock and t2 == 1.25
-    assert np.abs(psi2 - st.psi).max() < 1e-15
+    assert fock2 == fock and t2 == 1.25
+    assert np.abs(psi2 - psi).max() < 1e-15
 
 
 def test_chemical_potential_matches_energy_derivative(grid, par):
     # mu_a ~ dE/dN_a via finite differences of the energy functional
     g4 = par.g4()
     ns = np.array([80.0, 0.0, 0.0, 0.0])
-    st = ground_state(grid, ns, trap(grid), g4)
-    mu = chemical_potential(grid, st.psi, ns, trap(grid), g4)[0]
+    psi = ground_state(grid, ns, trap(grid), g4)
+    mu = chemical_potential(grid, psi, ns, trap(grid), g4)[0]
     es = []
     for dn in (+1.0, -1.0):
         occ = ns.copy()
         occ[0] += dn
-        st2 = ground_state(grid, occ, trap(grid), g4, psi0=st.psi)
-        es.append(energy_fields(grid, st2.psi, occ, trap(grid), g4))
+        psi2 = ground_state(grid, occ, trap(grid), g4, psi0=psi)
+        es.append(energy_fields(grid, psi2, occ, trap(grid), g4))
     assert mu == pytest.approx((es[0] - es[1]) / 2.0, rel=1e-3)
 
 
-def test_chemical_potential_self_interaction_floor(grid, par):
-    # empty and fractional occupations, as extract_chi produces for odd N:
-    # the intra-species factor is max(N_a - 1, 0)
-    g4 = par.g4()
-    ns = np.array([0.0, 0.5, 1.0, 3.0])
-    pots = trap(grid)
+# empty and fractional occupations, as extract_chi produces for odd N: the
+# intra-species factor is max(N_a - 1, 0)
+FLOOR_NS = np.array([0.0, 0.5, 1.0, 3.0])
+
+
+def floor_states(grid):
+    """Four displaced Gaussians of different widths, each with a phase."""
     psi = np.empty((4,) + grid.shape, dtype=complex)
     for a in range(4):
         z0, w = 0.4 * (a - 1.5), 0.8 + 0.1 * a
         f = np.exp(-(grid.r[:, None] ** 2 + (grid.z[None, :] - z0) ** 2)
                    / (2 * w ** 2) + 0.3j * a * grid.z[None, :])
         psi[a] = f / norm(grid, f)
+    return psi
+
+
+def test_chemical_potential_self_interaction_floor(grid, par):
+    g4 = par.g4()
+    ns = FLOOR_NS
+    pots = trap(grid)
+    psi = floor_states(grid)
     dens = np.abs(psi) ** 2
     expect = []
     for a in range(4):
@@ -256,6 +272,23 @@ def test_chemical_potential_self_interaction_floor(grid, par):
         expect.append(np.real(np.sum(grid.weights * np.conj(psi[a]) * h_psi)))
     mu = chemical_potential(grid, psi, ns, pots, g4)
     assert mu == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_energy_self_interaction_floor(grid, par):
+    # the energy has the GPE's floor: a component with N_a <= 1 has no
+    # self-energy, one with N_a > 1 has g_aa/2 N_a (N_a - 1) int |phi_a|^4
+    g4 = par.g4()
+    ns = FLOOR_NS
+    pots = trap(grid)
+    psi = floor_states(grid)
+    e = energy_fields(grid, psi, ns, pots, g4)
+    g_light = g4.copy()
+    g_light[[0, 1, 2], [0, 1, 2]] = 0.0
+    assert energy_fields(grid, psi, ns, pots, g_light) == pytest.approx(e, rel=1e-12, abs=0)
+    g_free = g4.copy()
+    g_free[3, 3] = 0.0
+    self_3 = 0.5 * g4[3, 3] * 3.0 * 2.0 * integrate(grid, np.abs(psi[3]) ** 4)
+    assert e - energy_fields(grid, psi, ns, pots, g_free) == pytest.approx(self_3, rel=1e-9)
 
 
 @pytest.mark.parametrize("imaginary", [False, True])

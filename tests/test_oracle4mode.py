@@ -229,7 +229,7 @@ def test_chi_ab_zero_for_disjoint_wells(chi_setup):
     chi_a, chi_b, chi_ab, center = extract_chi(grid, v, ns, par.g4(), dn=2)
     # single-channel twisting scale of one well (chi itself is the small
     # combination g00 + g11 - 2 g01 and is negative here)
-    dens = np.abs(center.psi[0]) ** 2
+    dens = np.abs(center[0]) ** 2
     scale = par.g4()[0, 0] * float(np.sum(grid.weights * dens ** 2)) / 2.0
     assert abs(chi_ab) < 0.02 * scale
     # for these scattering lengths the two wells twist almost identically
@@ -263,7 +263,7 @@ def test_chi_uniform_box_closed_form():
     # compute the expected value from the actual density functional instead:
     # mu_eps = sum_eps' g_ee' N_e' I with I = int |phi|^4 for a shared orbital
     chi_a, chi_b, chi_ab, center = extract_chi(grid, v, ns, g4, dn=2)
-    dens = np.abs(center.psi[0]) ** 2
+    dens = np.abs(center[0]) ** 2
     i4 = float(np.sum(grid.weights * dens ** 2))
     expected = (g4[0, 0] + g4[1, 1] - 2 * g4[0, 1]) * i4 / 2.0
     assert chi_a == pytest.approx(expected, rel=0.1)

@@ -115,13 +115,13 @@ def test_prepare_initial_copies_orbitals(prep):
 
 def test_prepulse_solves_only_the_occupied_components(monkeypatch):
     seen = set()
-    original = becsteer.meanfield._gpe_apply
+    original = becsteer.meanfield._gpe_residual
 
     def recording(grid, psi, *args):
         seen.add((psi.shape[0], psi.dtype.name))
         return original(grid, psi, *args)
 
-    monkeypatch.setattr(becsteer.meanfield, "_gpe_apply", recording)
+    monkeypatch.setattr(becsteer.meanfield, "_gpe_residual", recording)
     prepare_initial(tiny_cfg(), PhysicalParams(), tol=1e-7)
     # a0 and b0 only, in real arithmetic
     assert seen == {(2, "float64")}
@@ -139,12 +139,12 @@ def test_prepulse_matches_the_four_component_solve():
                        g4[np.ix_(occ, occ)])
     assert res.max() < tol
     four = ground_state(grid, [cfg.n_a, 0, cfg.n_b, 0], pots, g4, tol=tol)
-    assert gpe_residual(grid, four.psi, [cfg.n_a, 0, cfg.n_b, 0], pots,
+    assert gpe_residual(grid, four, [cfg.n_a, 0, cfg.n_b, 0], pots,
                         g4)[occ].max() < tol
     # a residual below tol puts a state within tol / (E1 - mu) of the exact
     # one, and E1 - mu of a0's and b0's effective Hamiltonians is 0.68 here
     # (dense eigvalsh on this 8 x 25 grid): the two within 2 tol / 0.68
-    assert norm(grid, psi0[occ] - four.psi[occ]).max() < 3 * tol
+    assert norm(grid, psi0[occ] - four[occ]).max() < 3 * tol
 
 
 def test_one_hold_time_end_to_end():
