@@ -22,10 +22,12 @@ COMPONENT_STATE = (0, 1, 0, 1)  # internal state of each component
 NORM_TOL = 1e-6                 # check_norms: largest drift of a norm from 1
 DT_MARGIN = 0.05                # stable_dt: largest (|V| + g n) dt of a step
 DT_FLOOR = 1e-8                 # stable_dt: density, over the peak, of a sampled cell
-RELAX_TAU = 0.05                # ground_state: imaginary-time step
-RELAX_TOL = 1e-10               # ground_state: relative energy change ending relaxation
-RELAX_MAX_ITER = 4000           # ground_state: imaginary-time steps at most
-POLISH_MAX_ITER = 60000         # _descent_polish: iterations before ConvergenceError
+GS_MAX_ITER = 2000              # ground_state: CG iterations before ConvergenceError
+# ground_state: largest grid norm of a component's (H - mu) psi.  A scan on
+# fig3 geometry at N = 4000 and dt 0.05 amplifies differences in the prepared
+# state: solved to 1e-8 instead of 1e-10, its E_EPR moved by up to 4.1e-5 and
+# overlap_a by 1.1e-5 over ten hold times (1e-9: 3.2e-6 and 1.4e-6).
+GS_TOL = 1e-10
 
 
 class IntegrationError(RuntimeError):
@@ -110,9 +112,14 @@ class FockVector(NamedTuple):
         return np.array(self, dtype=float)
 
 
+def _dense(sub, diag, sup):
+    """Dense matrix of the tridiagonal stencil (sub, diag, sup)."""
+    return np.diag(sub[1:], -1) + np.diag(diag) + np.diag(sup[:-1], 1)
+
+
 def _cayley(sub, diag, sup, tau):
     """Dense (I + tau/2 K)^-1 (I - tau/2 K) for K = -L/2, L = (sub, diag, sup)."""
-    k = -0.5 * (np.diag(sub[1:], -1) + np.diag(diag) + np.diag(sup[:-1], 1))
+    k = -0.5 * _dense(sub, diag, sup)
     eye = np.eye(len(diag))
     return np.linalg.solve(eye + 0.5 * tau * k, eye - 0.5 * tau * k)
 
@@ -157,38 +164,35 @@ def _gpe_residual(grid, psi, ns, potentials, g4):
 
 
 class SplitStepEvolver:
-    """Second-order Strang split-step for the coupled GPE, exp(-h H) per step.
+    """Second-order Strang split-step for the coupled GPE in real time,
+    exp(-i dt H) per step.
 
-    Real time uses h = i dt, with complex propagators.  With imaginary=True,
-    h = dt relaxes towards the ground state instead; the caller renormalizes
-    after each step.  There h and the propagators are real, so a real
-    wavefunction stays real and every product runs in real arithmetic.  The
-    kinetic part is a z half step, an r full step and a z half step, each a
-    Cayley (Crank-Nicolson) propagator U = (I + tau/2 K)^-1 (I - tau/2 K)
-    with tau = h/2 along z and tau = h along r.  U_r and U_z act on
-    different indices and commute, so the two z half steps are one matrix
-    U_zz = U_z U_z.  Both are built once, as dense matrices from the grid's
-    Laplacian stencil and cut at PROPAGATOR_CUT, so a sweep is two matrix
-    products; in real time U preserves the weighted norm to roundoff.  The
+    The kinetic part is a z half step, an r full step and a z half step,
+    each a Cayley (Crank-Nicolson) propagator U = (I + tau/2 K)^-1
+    (I - tau/2 K) with tau = i dt/2 along z and tau = i dt along r.  U_r and
+    U_z act on different indices and commute, so the two z half steps are
+    one matrix U_zz = U_z U_z.  Both are built once, as dense matrices from
+    the grid's Laplacian stencil and cut at PROPAGATOR_CUT, so a sweep is two
+    matrix products; U preserves the weighted norm to roundoff.  The
     potential and nonlinear part is an exact local factor, `phase`.  Works
     on a batch of Fock configurations at once: psi shaped (..., 4, n_r, n_z).
 
     A closed Strang step is a half phase at v(t), the kinetic sweep and a
-    half phase at v(t + dt).  In real time the closing half phase of one
-    step and the opening one of the next read the same potential and the
-    same |psi|, so they are one full phase: `step` works on an *open* state,
-    one that carries the half phase of its own time, and is the sweep
-    followed by the full phase at v(t + dt).  `phase(psi, ns, v, 0.5)` opens
-    a closed state at v and `phase(psi, ns, v, -0.5)` closes an open one.
+    half phase at v(t + dt).  The closing half phase of one step and the
+    opening one of the next read the same potential and the same |psi|, so
+    they are one full phase: `step` works on an *open* state, one that
+    carries the half phase of its own time, and is the sweep followed by the
+    full phase at v(t + dt).  `phase(psi, ns, v, 0.5)` opens a closed state
+    at v and `phase(psi, ns, v, -0.5)` closes an open one.
     """
 
-    def __init__(self, grid, g4, dt, imaginary=False):
+    def __init__(self, grid, g4, dt):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.g4 = np.asarray(g4, dtype=float)
         self.dt = float(dt)
-        self._h = self.dt if imaginary else 1j * self.dt
+        self._h = 1j * self.dt
         u_z = _cayley(*grid.axial_tridiag(), self._h / 2)
         self._u_zz = _cut(u_z @ u_z)
         self._u_r = _cut(_cayley(*grid.radial_tridiag(), self._h))
@@ -200,12 +204,6 @@ class SplitStepEvolver:
         """psi times exp(-frac h (v + mean field of psi)): frac 0.5 opens a
         state at v, 1 is the phase of a step, -0.5 closes an open state."""
         return psi * np.exp(-frac * self._h * (v + _mean_field(self.g4, psi, ns)))
-
-    def _strang(self, psi, ns, v0, v1):
-        """One closed step from v0 to v1 (the imaginary-time relaxation)."""
-        psi = self.phase(psi, ns, v0, 0.5)
-        psi = self._kinetic(psi)
-        return self.phase(psi, ns, v1, 0.5)
 
     def step(self, psi, ns, v_t_dt):
         """Advance an open state by one dt: the kinetic sweep, then the full
@@ -259,36 +257,58 @@ def gpe_residual(grid, psi, ns, potentials, g4):
     return norm(grid, _gpe_residual(grid, psi, ns, potentials, g4)[0])
 
 
-def _descent_polish(grid, psi, ns, potentials, g4, tol):
-    """Projected gradient descent to the exact discrete stationary state.
+def _kinetic_eigenbasis(grid):
+    """Eigen-factors of the kinetic operator K = -Laplacian/2 = K_r + K_z.
 
-    Step size is set per component from an upper bound on the spectrum of the
-    effective Hamiltonian, so the iteration is unconditionally contracting;
-    the fixed point has residual zero on the discrete GPE.
+    The radial stencil is symmetric under the weights r, so diag(sqrt r)
+    makes it a symmetric matrix for eigh.  Returns (q_r, q_z, sqrt_r, k):
+    the orthonormal radial and axial eigenvectors, sqrt(r) as a column, and
+    the (n_r, n_z) eigenvalues of K on each product of modes.
     """
-    lam_kin = 0.5 * (4.0 / grid.dr**2 + 4.0 / grid.dz**2)
-    for it in range(POLISH_MAX_ITER):
-        res_vec, mu, veff = _gpe_residual(grid, psi, ns, potentials, g4)
-        resn = norm(grid, res_vec)
-        if resn.max() < tol:
-            return psi
-        tau = 1.8 / (lam_kin + veff.max(axis=(-2, -1))[:, None, None] - mu[:, None, None])
-        psi = psi - tau * res_vec
-        psi = psi / norm(grid, psi)[:, None, None]
-    raise ConvergenceError(
-        f"ground state not converged after {POLISH_MAX_ITER} descent iterations, "
-        f"residual {resn.max():.3e}")
+    s = np.sqrt(grid.r)[:, None]
+    lam_r, q_r = np.linalg.eigh(s * _dense(*grid.radial_tridiag()) / s.T)
+    lam_z, q_z = np.linalg.eigh(_dense(*grid.axial_tridiag()))
+    return q_r, q_z, s, -0.5 * (lam_r[:, None] + lam_z[None, :])
 
 
-def ground_state(grid, ns, potentials, g4, tol=1e-8, psi0=None):
-    """Coupled ground state by imaginary time plus self-consistent polish.
+def _precondition(basis, f, alpha):
+    """(K + alpha_a)^-1 f_a in K's eigenbasis, for fields f (..., n_comp,
+    n_r, n_z) and shifts alpha (n_comp).  The axial products run as one
+    matrix product over every row of f."""
+    q_r, q_z, s, k = basis
+    n_z = f.shape[-1]
+    c = ((s * f).reshape(-1, n_z) @ q_z).reshape(f.shape)
+    c = q_r.T @ c / (k + alpha[:, None, None])
+    c = ((q_r @ c).reshape(-1, n_z) @ q_z.T).reshape(f.shape)
+    return c / s
+
+
+def ground_state(grid, ns, potentials, g4, tol=GS_TOL, psi0=None):
+    """Coupled ground state by preconditioned nonlinear conjugate gradient.
 
     Solves every component of potentials, time-independent and shaped
     (n_comp, n_r, n_z), with occupations ns (n_comp) and couplings g4
-    (n_comp, n_comp).  The Hamiltonian is real, so the relaxation from a real
-    start (a Gaussian, or psi0) stays real and runs in float64; a psi0 with a
-    nonzero imaginary part raises ValueError.  Returns the real float64
-    (n_comp, n_r, n_z) wavefunctions, each unit-normalized.
+    (n_comp, n_comp), until each component's gpe_residual is below tol.
+    The iteration is the energy-adaptive preconditioned CG of Antoine,
+    Levitt & Tang (J. Comput. Phys. 343, 92 (2017)) on the product of the
+    components' unit spheres, for the energy with weights w_a = max(N_a, 1)
+    in place of N_a, so that an empty component, which carries no energy,
+    still converges.  The preconditioner P_a = (K + alpha_a)^-1, with
+    alpha_a the kinetic energy of component a plus 1, is exact in K's
+    eigenbasis.  Each P_a r_a is P-projected onto the tangent of psi_a's
+    sphere; directions are combined by Polak-Ribiere+ and restart when
+    they are not a descent.  One step t moves every component, psi_a by the
+    angle t |d_a| along psi_a cos + d_a/|d_a| sin.  t is a secant on the
+    slope sum_a w_a <r_a, d psi_a/dt>, half the energy's derivative, from
+    residuals rather than energies, whose differences fall below roundoff
+    near the solution; the secant starts from the previous step.
+
+    The Hamiltonian is real, so from a real start (a Gaussian, or psi0)
+    every iterate is real and float64; a psi0 with a nonzero imaginary part
+    raises ValueError.  A start already below tol returns after no
+    iteration.  Raises ConvergenceError after GS_MAX_ITER iterations.
+    Returns the real float64 (n_comp, n_r, n_z) wavefunctions, each
+    unit-normalized.
     """
     ns = np.asarray(ns, dtype=float)
     potentials = np.asarray(potentials, dtype=float)
@@ -302,23 +322,52 @@ def ground_state(grid, ns, potentials, g4, tol=1e-8, psi0=None):
     else:
         if np.any(np.imag(psi0) != 0.0):
             raise ValueError("psi0 must be real-valued: the ground state "
-                             "relaxes in real arithmetic")
+                             "is solved in real arithmetic")
         psi = np.real(psi0).astype(float)
         psi /= norm(grid, psi)[:, None, None]
 
-    ev = SplitStepEvolver(grid, g4, RELAX_TAU, imaginary=True)
-    prev_e = np.inf
-    for it in range(RELAX_MAX_ITER):
-        # not `step`, whose calls count the real-time steps of a run
-        psi = ev._strang(psi, ns, potentials, potentials)
-        psi = psi / norm(grid, psi)[:, None, None]
-        if it % 25 == 24:
-            e = energy_fields(grid, psi, ns, potentials, g4)
-            if abs(prev_e - e) < RELAX_TOL * max(abs(e), 1.0):
-                break
-            prev_e = e
+    w = np.maximum(ns, 1.0)
+    basis = _kinetic_eigenbasis(grid)
+    d, t = None, 1.0
+    for it in range(GS_MAX_ITER + 1):
+        res, mu, veff = _gpe_residual(grid, psi, ns, potentials, g4)
+        resn = norm(grid, res)
+        if resn.max() < tol:
+            return psi
+        if it == GS_MAX_ITER:
+            break
+        alpha = mu - inner(grid, psi, veff * psi) + 1.0
+        p_res, p_psi = _precondition(basis, np.stack([res, psi]), alpha)
+        p_res -= (inner(grid, psi, p_res) / inner(grid, psi, p_psi))[:, None, None] * p_psi
+        rp = w @ inner(grid, res, p_res)
+        if d is not None:
+            beta = max((rp - w @ inner(grid, res_prev, p_res)) / rp_prev, 0.0)
+            d = beta * d - p_res
+            d -= inner(grid, psi, d)[:, None, None] * psi
+            s0 = w @ inner(grid, res, d)
+        if d is None or s0 >= 0.0:
+            d, s0 = -p_res, -rp
+        res_prev, rp_prev = res, rp
 
-    return _descent_polish(grid, psi, ns, potentials, g4, tol)
+        dn = norm(grid, d)[:, None, None]
+        d_hat = d / np.maximum(dn, np.finfo(float).tiny)
+
+        def arc(t):
+            """psi moved by the step t, and its derivative in t."""
+            c, s = np.cos(t * dn), np.sin(t * dn)
+            return c * psi + s * d_hat, dn * (c * d_hat - s * psi)
+
+        t0 = t
+        psi_t0, dpsi_t0 = arc(t0)
+        s1 = w @ inner(grid, _gpe_residual(grid, psi_t0, ns, potentials, g4)[0], dpsi_t0)
+        t = t0 * s0 / (s0 - s1) if s1 > s0 else 2.0 * t0
+        # no component turns by more than a right angle
+        t = min(t, 0.5 * np.pi / dn.max())
+        psi = arc(t)[0]
+        psi /= norm(grid, psi)[:, None, None]
+    raise ConvergenceError(
+        f"ground state not converged after {GS_MAX_ITER} iterations, "
+        f"residual {resn.max():.3e}")
 
 
 # ---------------------------------------------------------------------------

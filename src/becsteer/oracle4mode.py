@@ -20,7 +20,7 @@ import numpy as np
 
 from .correlators import (binomial_weights, epr_witness, falling,
                           spin_moments)
-from .meanfield import chemical_potential, ground_state
+from .meanfield import GS_TOL, chemical_potential, ground_state
 from .sequence import component_potentials
 
 
@@ -112,7 +112,7 @@ def default_dn(n_a, n_b):
     return max(1, round(math.sqrt(min(n_a, n_b)) / 4.0))
 
 
-def extract_chi(grid, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
+def extract_chi(grid, potentials, ns, g4, dn=None, tol=GS_TOL, psi0=None):
     """Twisting coefficients at one protocol instant.
 
     chi_sigma = (1/2) d(mu_s0 - mu_s1)/du_sigma and
@@ -150,7 +150,7 @@ def extract_chi(grid, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
     return chi_a, chi_b, chi_ab, center
 
 
-def adiabatic_rates(cfg, params, n_samples=9, tol=1e-8):
+def adiabatic_rates(cfg, params, n_samples=9, tol=GS_TOL):
     """(ramp integral, hold rate) of the chi coefficients, each (a, b, ab).
 
     Samples chi along one transport ramp (instantaneous ground states,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MIN_POINTS, build_grid, normalized_overlap
-from .meanfield import ground_state, save_snapshot, stable_dt
+from .meanfield import GS_TOL, ground_state, save_snapshot, stable_dt
 from .fockflow import init_trajectories
 from .correlators import spin_moments, epr_witness
 
@@ -137,7 +137,7 @@ def well_separation(grid, psi):
     return normalized_overlap(grid, np.abs(psi[0]) ** 2, np.abs(psi[2]) ** 2)
 
 
-def prepulse_state(grid, n_a, n_b, potentials, g4, tol=1e-8):
+def prepulse_state(grid, n_a, n_b, potentials, g4, tol=GS_TOL):
     """Ground state before the pulse, all atoms in state 0 of each well.
 
     Only a0 and b0 hold atoms, so only they are solved, from the (4, n_r,
@@ -151,7 +151,7 @@ def prepulse_state(grid, n_a, n_b, potentials, g4, tol=1e-8):
     return psi[[0, 0, 1, 1]]
 
 
-def prepare_initial(cfg, params, tol=1e-8):
+def prepare_initial(cfg, params, tol=GS_TOL):
     """Ground state before the pulse (prepulse_state) on the run's grid;
     returns (grid, g4, psi0)."""
     grid = cfg.build_grid()

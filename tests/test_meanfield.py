@@ -5,11 +5,10 @@ import pytest
 
 import becsteer.meanfield
 from becsteer.grid import build_grid, integrate, norm
-from becsteer.meanfield import (PROPAGATOR_CUT, RELAX_MAX_ITER, RELAX_TAU,
-                                RELAX_TOL, ConvergenceError, FockVector,
-                                IntegrationError, PhysicalParams,
+from becsteer.meanfield import (GS_TOL, PROPAGATOR_CUT, ConvergenceError,
+                                FockVector, IntegrationError, PhysicalParams,
                                 SplitStepEvolver, _cayley, _cut,
-                                _descent_polish, _mean_field,
+                                _gpe_residual, _mean_field,
                                 chemical_potential, energy_fields,
                                 gpe_residual, ground_state, load_snapshot,
                                 save_snapshot, stable_dt)
@@ -97,16 +96,41 @@ def test_ground_state_warm_start(grid, par, monkeypatch):
     g4 = par.g4()
     ns = FockVector(100, 100, 0, 0)
     psi = ground_state(grid, ns, trap(grid), g4)
-    monkeypatch.setattr(becsteer.meanfield, "RELAX_MAX_ITER", 0)
+    # a converged start returns before the first iteration
+    monkeypatch.setattr(becsteer.meanfield, "GS_MAX_ITER", 0)
     psi2 = ground_state(grid, ns, trap(grid), g4, psi0=psi)
+    assert np.abs(psi2 - psi).max() < 1e-14
     mu, mu2 = (chemical_potential(grid, f, ns, trap(grid), g4)
                for f in (psi, psi2))
     assert np.abs(mu2 - mu).max() < 1e-9
 
 
+# an independent reference solver: imaginary-time Strang steps, then a
+# projected descent, with constants of its own
+RELAX_TAU = 0.05          # imaginary-time step
+RELAX_TOL = 1e-10         # relative energy change ending the relaxation
+RELAX_MAX_ITER = 4000     # imaginary-time steps at most
+POLISH_MAX_ITER = 60000   # descent iterations at most
+
+
+def descent_polish(grid, psi, ns, pots, g4, tol):
+    """Projected gradient descent, each step capped by an upper bound of
+    the effective Hamiltonian's spectrum, until every residual is below tol."""
+    lam_kin = 0.5 * (4.0 / grid.dr**2 + 4.0 / grid.dz**2)
+    for it in range(POLISH_MAX_ITER):
+        res_vec, mu, veff = _gpe_residual(grid, psi, ns, pots, g4)
+        if norm(grid, res_vec).max() < tol:
+            return psi
+        tau = 1.8 / (lam_kin + veff.max(axis=(-2, -1))[:, None, None] - mu[:, None, None])
+        psi = psi - tau * res_vec
+        psi = psi / norm(grid, psi)[:, None, None]
+    raise ConvergenceError("descent polish not converged")
+
+
 def complex_ground_state(grid, ns, pots, g4, tol):
-    """ground_state written out in complex arithmetic: a complex Gaussian
-    start, complex Cayley factors and phases, the same relaxation and polish."""
+    """An independent ground state in complex arithmetic: a complex Gaussian
+    start, complex Cayley factors and phases, imaginary-time relaxation and
+    the descent polish."""
     psi = np.empty(pots.shape, dtype=complex)
     for a, v in enumerate(pots):
         z0 = grid.z[np.unravel_index(np.argmin(v), grid.shape)[1]]
@@ -128,7 +152,18 @@ def complex_ground_state(grid, ns, pots, g4, tol):
             if abs(prev_e - e) < RELAX_TOL * max(abs(e), 1.0):
                 break
             prev_e = e
-    return _descent_polish(grid, psi, ns, pots, g4, tol)
+    return descent_polish(grid, psi, ns, pots, g4, tol)
+
+
+def spectral_gaps(grid, veff, mu):
+    """E1 - mu of each component's effective Hamiltonian -Laplacian/2 +
+    veff_a, from dense eigvalsh of its weight-symmetrized matrix."""
+    n = grid.n_r * grid.n_z
+    lap = grid.laplacian(np.eye(n).reshape((n,) + grid.shape)).reshape(n, n).T
+    sw = np.sqrt(grid.weights.ravel())
+    kin = -0.5 * sw[:, None] * lap / sw[None, :]
+    return np.array([np.linalg.eigvalsh(kin + np.diag(v.ravel()))[1] - m
+                     for v, m in zip(veff, mu)])
 
 
 @pytest.mark.parametrize("ns", [[60.0, 40.0], [50.0, 0.0, 30.0, 10.0]],
@@ -141,12 +176,15 @@ def test_real_ground_state_matches_complex_arithmetic(grid, par, ns):
                   + (grid.z[None, None, :] - shifts[:, None, None]) ** 2)
     g4 = par.g4()[:len(ns), :len(ns)]
     psi = ground_state(grid, ns, pots, g4)
-    want = complex_ground_state(grid, ns, pots, g4, 1e-8)
+    want = complex_ground_state(grid, ns, pots, g4, 1e-12)
     assert psi.dtype == float and psi.shape == want.shape
-    assert np.abs(psi - want).max() <= 1e-13
-    mu = chemical_potential(grid, want, ns, pots, g4)
+    # a residual below tol puts a state within about tol / (E1 - mu) of the
+    # exact one; the reference's 1e-12 adds 1e-12 / (E1 - mu)
+    _, mu, veff = _gpe_residual(grid, want, ns, pots, g4)
+    gaps = spectral_gaps(grid, np.real(veff), mu)
+    assert np.all(norm(grid, psi - want) < 2 * GS_TOL / gaps)
     got = chemical_potential(grid, psi, ns, pots, g4)
-    assert np.abs(got - mu).max() <= 1e-13 * np.abs(mu).max()
+    assert np.abs(got - mu).max() <= 2 * GS_TOL * np.abs(mu).max()
 
 
 def test_ground_state_refuses_a_complex_start(grid, par):
@@ -180,10 +218,9 @@ def test_norm_drift_raises(grid, par):
         ev.check_norms(1.001 * psi)
 
 
-def test_unconverged_polish_raises(grid, par, monkeypatch):
-    monkeypatch.setattr(becsteer.meanfield, "POLISH_MAX_ITER", 1)
-    monkeypatch.setattr(becsteer.meanfield, "RELAX_MAX_ITER", 0)
-    with pytest.raises(ConvergenceError, match="after 1 descent iterations"):
+def test_unconverged_ground_state_raises(grid, par, monkeypatch):
+    monkeypatch.setattr(becsteer.meanfield, "GS_MAX_ITER", 1)
+    with pytest.raises(ConvergenceError, match="after 1 iterations"):
         ground_state(grid, FockVector(50, 50, 0, 0), trap(grid), par.g4())
 
 
@@ -291,11 +328,11 @@ def test_energy_self_interaction_floor(grid, par):
     assert e - energy_fields(grid, psi, ns, pots, g_free) == pytest.approx(self_3, rel=1e-9)
 
 
-@pytest.mark.parametrize("imaginary", [False, True])
-def test_split_step_kinetic_is_grid_laplacian(grid, imaginary):
+def test_split_step_kinetic_is_grid_laplacian(grid):
     # with no potential and no interactions one step is exp(-h H) with
-    # H = -Laplacian/2, so (psi - step(psi))/h -> H psi at first order in dt;
-    # the ground-state polish and energy_fields use the same stencil
+    # h = i dt and H = -Laplacian/2, so (psi - step(psi))/h -> H psi at
+    # first order in dt; the ground state and energy_fields use the same
+    # stencil
     r, z = grid.r[:, None], grid.z[None, :]
     f = np.exp(-0.5 * r ** 2 - 0.4 * (z - 0.3) ** 2 + 0.7j * z) * (1 + 0.3 * r ** 2)
     psi = f[None].repeat(4, axis=0)
@@ -303,8 +340,8 @@ def test_split_step_kinetic_is_grid_laplacian(grid, imaginary):
     h_psi = -0.5 * grid.laplacian(psi)
     errs = []
     for dt in (2e-3, 1e-3):
-        ev = SplitStepEvolver(grid, np.zeros((4, 4)), dt, imaginary=imaginary)
-        h = dt if imaginary else 1j * dt
+        ev = SplitStepEvolver(grid, np.zeros((4, 4)), dt)
+        h = 1j * dt
         got = (psi - ev.step(psi, np.zeros(4), zero_v)) / h
         errs.append(np.abs(got - h_psi).max() / np.abs(h_psi).max())
     assert errs[1] < 2.0 * 1e-3

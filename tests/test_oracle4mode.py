@@ -6,7 +6,7 @@ import pytest
 
 from becsteer.correlators import MultiIndex
 from becsteer.grid import build_grid
-from becsteer.meanfield import PhysicalParams
+from becsteer.meanfield import GS_TOL, PhysicalParams
 import becsteer.oracle4mode
 from becsteer.oracle4mode import (FourModeState, adiabatic_rates,
                                   default_dn, evolve_exact, extract_chi,
@@ -279,7 +279,7 @@ def test_adiabatic_rates_integrate_known_chi(monkeypatch):
     class Center:
         psi = None
 
-    def fake_chi(grid_, potentials, ns, g4, dn=None, tol=1e-8, psi0=None):
+    def fake_chi(grid_, potentials, ns, g4, dn=None, tol=GS_TOL, psi0=None):
         t = float(len(seen))
         seen.append(potentials)
         return 1.0, t, t * t, Center()

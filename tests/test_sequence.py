@@ -128,8 +128,8 @@ def test_prepulse_solves_only_the_occupied_components(monkeypatch):
 
 
 def test_prepulse_matches_the_four_component_solve():
-    # at N = 1000 on the tiny grid the empty a1 and b1 keep a four-component
-    # polish going after a0 has converged, so the two solves differ
+    # the four-component solve also moves the empty a1 and b1, so its
+    # iterates differ from the two-component solve's
     tol = 1e-7
     cfg = tiny_cfg(n_a=1000, n_b=1000)
     grid, g4, psi0 = prepare_initial(cfg, PhysicalParams(), tol=tol)
@@ -145,6 +145,22 @@ def test_prepulse_matches_the_four_component_solve():
     # one, and E1 - mu of a0's and b0's effective Hamiltonians is 0.68 here
     # (dense eigvalsh on this 8 x 25 grid): the two within 2 tol / 0.68
     assert norm(grid, psi0[occ] - four[occ]).max() < 3 * tol
+
+
+@pytest.mark.parametrize("ns, at_end", [([1000, 0, 1000, 0], False),
+                                        ([1000, 0, 1000, 0], True),
+                                        ([500, 0, 300, 10], False)],
+                         ids=["empty-start", "empty-end-of-ramp", "unequal"])
+def test_empty_components_converge(ns, at_end):
+    # an empty component carries no energy; the solver weighs it as one
+    # atom, and with weight N_a the last two of these solves do not converge
+    cfg = tiny_cfg()
+    grid = cfg.build_grid()
+    g4 = PhysicalParams().g4()
+    pots = component_potentials(grid, cfg, cfg.t_ramp if at_end else 0.0, 0.0)
+    tol = 1e-10
+    psi = ground_state(grid, ns, pots, g4, tol=tol)
+    assert gpe_residual(grid, psi, ns, pots, g4).max() < tol
 
 
 def test_one_hold_time_end_to_end():
