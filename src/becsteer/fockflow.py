@@ -67,7 +67,7 @@ class TrajectorySet:
         self.t = 0.0
         # Theta(Delta) = Delta . theta_coeff ; exactly zero at t = 0
         self.theta_coeff = np.zeros(4)
-        self._theta_rate_prev = self._theta_rate()
+        self._theta_rate_prev = self._theta_rate(np.abs(self._psi[self.CENTER]) ** 2)
         # continuous density-weighted mean phase of each axis configuration
         # relative to the central one (per component), for 2pi unwrapping
         self._mean_phase = np.zeros(shape)
@@ -78,13 +78,12 @@ class TrajectorySet:
 
     # -- low-level helpers ---------------------------------------------------
 
-    def _theta_rate(self):
-        """d(theta_coeff)/dt from the central configuration densities,
+    def _theta_rate(self, dens):
+        """d(theta_coeff)/dt from the central configuration's densities dens,
         -1/2 sum_{a' != a} g_aa' int |psi_a|^2 |psi_a'|^2 for each a: at unit
         occupations the mean field of a holds the other components only."""
-        center = self._psi[self.CENTER]
-        return -0.5 * integrate(self.grid, np.abs(center) ** 2
-                                * _mean_field(self.g4, center, np.ones(4)))
+        return -0.5 * integrate(self.grid, dens * _mean_field(
+            self.g4, self._psi[self.CENTER], np.ones(4), dens))
 
     def _update_mean_phases(self):
         # the axis configurations are the ones after the centre.  This reads
@@ -122,18 +121,27 @@ class TrajectorySet:
         a phase at v(t), unless the last run left it open at the same dt and
         an equal v(t), and each step ends with the full phase at v(t + dt).
         The state stays open after the run, so runs in parts step exactly as
-        one run; `psi` closes it on reading."""
+        one run; `psi` closes it on reading.
+
+        Each step is in place on the working state, with two buffers of its
+        size made per call, so that neither a fork nor a pickled set shares
+        them (see SplitStepEvolver.step).  Its one density, of the swept
+        state, feeds the phase's mean field, the 20 norms of the norm check
+        and the Theta rate; the mean-phase overlaps read the stepped state.
+        The array `psi` returned before the run is not the one stepped."""
         v = np.asarray(potentials(self.t), dtype=float)
         if steps <= 0:
             return
         evolver = self._open(dt, v)
+        work = (np.empty(self._psi.shape, dtype=complex), np.empty(self._psi.shape))
+        dens = work[1]
         for _ in range(steps):
             v = np.asarray(potentials(self.t + dt), dtype=float)
-            self._psi = evolver.step(self._psi, self.ns, v)
+            evolver.step(self._psi, self.ns, v, work)
             self._pending = (evolver, v)
             self.norm_drift = max(self.norm_drift,
-                                  float(evolver.check_norms(self._psi)))
-            rate = self._theta_rate()
+                                  float(evolver.check_norms(self._psi, dens)))
+            rate = self._theta_rate(dens[self.CENTER])
             self.theta_coeff += 0.5 * dt * (self._theta_rate_prev + rate)
             self._theta_rate_prev = rate
             self._update_mean_phases()

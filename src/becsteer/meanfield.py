@@ -138,20 +138,32 @@ def _cut(u):
     return np.where(mag < PROPAGATOR_CUT * mag.max(), 0.0, u)
 
 
-def _mean_field(g4, psi, ns):
+def _mean_field(g4, psi, ns, dens=None, out=None):
     """g_aa max(N_a - 1, 0) |psi_a|^2 + sum_{a'!=a} g_aa' N_a' |psi_a'|^2.
 
     psi is (..., n_comp, n_r, n_z) with occupations ns shaped (..., n_comp)
     and g4 (n_comp, n_comp); the four components in a run.  The
     intra-species factor removes one self atom and is floored at zero, so
-    empty and fractional components stay linear.
+    empty and fractional components stay linear.  Each configuration's
+    couplings form one matrix, g_aa' times N_a' off the diagonal and
+    max(N_a - 1, 0) on it, applied to the densities by one batched matmul.
+    A caller that holds dens = |psi|^2 passes it, and psi is then not read.
+    `out`, shaped like the field, receives it; it must reshape to
+    (..., n_comp, n_r n_z) without a copy, as a C-ordered array and its
+    real part do.
     """
     g4 = np.asarray(g4, dtype=float)
     ns = np.asarray(ns, dtype=float)
-    dens = np.abs(psi) ** 2
-    tot = np.einsum("ab,...bij->...aij", g4, ns[..., :, None, None] * dens)
-    tot -= (np.diag(g4)[:, None, None] * np.minimum(ns, 1.0)[..., :, None, None]) * dens
-    return tot
+    if dens is None:
+        dens = np.abs(psi) ** 2
+    counts = np.where(np.eye(len(g4), dtype=bool),
+                      np.maximum(ns - 1.0, 0.0)[..., None, :], ns[..., None, :])
+    coupling = g4 * counts
+    flat = dens.shape[:-2] + (-1,)
+    if out is None:
+        return np.matmul(coupling, dens.reshape(flat)).reshape(dens.shape)
+    np.matmul(coupling, dens.reshape(flat), out=out.reshape(flat))
+    return out
 
 
 def _gpe_residual(grid, psi, ns, potentials, g4):
@@ -184,6 +196,12 @@ class SplitStepEvolver:
     carries the half phase of its own time, and is the sweep followed by the
     full phase at v(t + dt).  `phase(psi, ns, v, 0.5)` opens a closed state
     at v and `phase(psi, ns, v, -0.5)` closes an open one.
+
+    A step computes |psi|^2 once, of the swept state: the phase factor is
+    unimodular, so this is also the density of the stepped state, to
+    roundoff, and a caller that passes its own buffers reads it there for
+    the norm check and its other per-step sums.  The evolver holds no
+    buffers, so one evolver can step several states.
     """
 
     def __init__(self, grid, g4, dt):
@@ -192,27 +210,72 @@ class SplitStepEvolver:
         self.grid = grid
         self.g4 = np.asarray(g4, dtype=float)
         self.dt = float(dt)
-        self._h = 1j * self.dt
-        u_z = _cayley(*grid.axial_tridiag(), self._h / 2)
+        u_z = _cayley(*grid.axial_tridiag(), 0.5j * self.dt)
         self._u_zz = _cut(u_z @ u_z)
-        self._u_r = _cut(_cayley(*grid.radial_tridiag(), self._h))
+        self._u_r = _cut(_cayley(*grid.radial_tridiag(), 1j * self.dt))
 
-    def _kinetic(self, psi):
-        return self._u_r @ (psi @ self._u_zz.T)
+    def _kinetic(self, psi, sweep=None, out=None):
+        """U_r (psi U_zz^T): the z product as one matrix product over every
+        row of psi, into `sweep` (C-ordered, complex, shaped like psi), then
+        the r product into `out`, which may be psi itself.  Both are new
+        arrays by default."""
+        n_z = psi.shape[-1]
+        if sweep is None:
+            sweep = np.empty(psi.shape, dtype=complex)
+        np.matmul(psi.reshape(-1, n_z), self._u_zz.T, out=sweep.reshape(-1, n_z))
+        return np.matmul(self._u_r, sweep, out=out)
+
+    def _apply_phase(self, psi, ns, v, frac, factor, dens):
+        """psi *= exp(-i frac dt (v + mean field of psi)), in place on a
+        complex psi.  dens (float) receives |psi|^2, and the phase factor is
+        built in `factor` (complex, C-ordered); both are shaped like psi."""
+        np.abs(psi, out=dens)
+        np.square(dens, out=dens)
+        arg = factor.real
+        _mean_field(self.g4, psi, ns, dens, out=arg)
+        arg += v
+        arg *= -frac * self.dt
+        np.sin(arg, out=factor.imag)
+        np.cos(arg, out=arg)
+        psi *= factor
+        return psi
 
     def phase(self, psi, ns, v, frac):
-        """psi times exp(-frac h (v + mean field of psi)): frac 0.5 opens a
-        state at v, 1 is the phase of a step, -0.5 closes an open state."""
-        return psi * np.exp(-frac * self._h * (v + _mean_field(self.g4, psi, ns)))
+        """psi times exp(-i frac dt (v + mean field of psi)), a new array: frac
+        0.5 opens a state at v, 1 is the phase of a step, -0.5 closes an
+        open state."""
+        out = np.array(psi, dtype=complex)
+        return self._apply_phase(out, ns, v, frac,
+                                 np.empty(out.shape, dtype=complex),
+                                 np.empty(out.shape))
 
-    def step(self, psi, ns, v_t_dt):
+    def step(self, psi, ns, v_t_dt, work=None):
         """Advance an open state by one dt: the kinetic sweep, then the full
-        phase at v_t_dt, the (4, n_r, n_z) potential stack at t + dt."""
-        return self.phase(self._kinetic(psi), ns, v_t_dt, 1.0)
+        phase at v_t_dt, the (4, n_r, n_z) potential stack at t + dt.
 
-    def check_norms(self, psi):
-        nrm = integrate(self.grid, np.abs(psi) ** 2)
-        drift = np.max(np.abs(nrm - 1.0))
+        Without `work`, psi is left as it is and a new array is returned.
+        With work = (sweep, dens), a C-ordered complex and a C-ordered float
+        array shaped like psi, the step is in place: psi (complex) is
+        overwritten and returned, and it allocates no array of psi's size.
+        The z product goes to `sweep`, the r product back to psi, |psi|^2 of
+        the swept state to `dens`, and the phase factor is built in `sweep`,
+        which the r product has read, and multiplied into psi.  `dens` then
+        holds the stepped state's density, to roundoff.
+        """
+        if work is None:
+            psi = np.array(psi, dtype=complex)
+            work = (np.empty(psi.shape, dtype=complex), np.empty(psi.shape))
+        sweep, dens = work
+        self._kinetic(psi, sweep, out=psi)
+        return self._apply_phase(psi, ns, v_t_dt, 1.0, sweep, dens)
+
+    def check_norms(self, psi, dens=None):
+        """Largest drift from 1 of the grid norms of psi's fields; raises
+        IntegrationError above NORM_TOL.  A caller that holds dens = |psi|^2
+        passes it, and psi is then not read."""
+        if dens is None:
+            dens = np.abs(psi) ** 2
+        drift = np.max(np.abs(integrate(self.grid, dens) - 1.0))
         if drift > NORM_TOL:
             raise IntegrationError(f"norm drift {drift:.3e} exceeds {NORM_TOL:.1e}")
         return drift

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 The two full-scale witness scans (criteria 4 and 5) are expensive (about
-8 and 2.5 min as `becsteer run --workers 2` on 2 CPUs). Their tests reuse a
+3 and 1 min as `becsteer run --workers 2` on 2 CPUs with BLAS pinned to one
+thread, see README). Their tests reuse a
 cached CSV under artifacts/ if one exists, and fail if its manifest echoes
 another config than today's parse of the config file; deleting the
 directory forces a clean regeneration with the same command the test would

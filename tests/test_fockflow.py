@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from becsteer.grid import build_grid
-from becsteer.meanfield import PhysicalParams, SplitStepEvolver, _mean_field
+from becsteer.meanfield import (IntegrationError, PhysicalParams,
+                                SplitStepEvolver, _mean_field)
 from becsteer.fockflow import (DisplacementError, _wrap, central_fock,
                                init_trajectories)
 from becsteer.sequence import prepulse_state
@@ -158,6 +159,49 @@ def test_norm_check_runs(setup):
     traj.run(lambda t: pots, 0.02, 10)
     nrm = np.real(np.sum(grid.weights * np.abs(traj.psi) ** 2, axis=(-2, -1)))
     assert np.abs(nrm - 1.0).max() < 1e-12
+
+
+def test_norm_check_fires_inside_run(setup):
+    # a 0.1 % amplitude error of the working state is a norm drift of 2e-3,
+    # which the step's own density must catch
+    grid, g4, pots, psi0 = setup
+    traj = init_trajectories(grid, g4, 40, 40, psi0)
+    traj.run(lambda t: pots, 0.02, 2)
+    traj._psi *= 1.001
+    with pytest.raises(IntegrationError, match="norm drift"):
+        traj.run(lambda t: pots, 0.02, 1)
+
+
+def test_forks_step_independently_in_place(setup):
+    # run steps its working state in place.  A fork copies that state and
+    # shares the pending evolver; the parent and the fork, stepped in turn,
+    # must each equal a set that ran alone, bit for bit, and an array read
+    # from psi before a run must not change with it
+    grid, g4, pots, psi0 = setup
+
+    def p(t):
+        return pots * (1.0 + 0.3 * np.sin(t))
+
+    state = ("psi", "theta_coeff", "_mean_phase", "_raw_prev", "t", "steps",
+             "norm_drift", "unwrap_step")
+    parent = init_trajectories(grid, g4, 40, 40, psi0)
+    read = [parent.psi]
+    kept = [read[0].copy()]
+    parent.run(p, 0.01, 5)
+    fork = parent.fork()
+    assert fork._pending is parent._pending
+    read.append(parent.psi)
+    kept.append(read[1].copy())
+    for _ in range(3):
+        parent.run(p, 0.01, 2)
+        fork.run(p, 0.01, 3)
+    for r, k in zip(read, kept):
+        assert np.array_equal(r, k)
+    for traj, steps in ((parent, 11), (fork, 14)):
+        alone = init_trajectories(grid, g4, 40, 40, psi0)
+        alone.run(p, 0.01, steps)
+        for k in state:
+            assert np.array_equal(getattr(traj, k), getattr(alone, k)), k
 
 
 def test_run_matches_closed_strang_steps(setup):

@@ -311,6 +311,36 @@ def test_chemical_potential_self_interaction_floor(grid, par):
     assert mu == pytest.approx(expect, rel=1e-12, abs=0)
 
 
+def test_mean_field_matches_explicit_sum():
+    # the batched kernel against a loop over (configuration, a, a'), with
+    # couplings that are not symmetric, so that a transposed matrix shows,
+    # and occupations of 0, below 1, 1, between 1 and 2 and above 2, so that
+    # the max(N_a - 1, 0) floor is met in every batch row
+    rng = np.random.default_rng(11)
+    g4 = rng.uniform(0.5, 2.0, (4, 4))
+    ns = np.array([[0.0, 0.5, 1.0, 3.7],
+                   [1.0, 0.0, 2.0, 0.25],
+                   [1.5, 7.0, 0.0, 0.0],
+                   [40.0, 39.0, 0.75, 1.0],
+                   [0.0, 0.0, 0.0, 0.0]])
+    psi = rng.normal(size=(5, 4, 6, 7)) + 1j * rng.normal(size=(5, 4, 6, 7))
+    dens = np.abs(psi) ** 2
+    want = np.zeros(dens.shape)
+    for c in range(5):
+        for a in range(4):
+            for b in range(4):
+                n = max(ns[c, a] - 1.0, 0.0) if b == a else ns[c, b]
+                want[c, a] += g4[a, b] * n * dens[c, b]
+    assert np.allclose(_mean_field(g4, psi, ns), want, rtol=1e-14, atol=0)
+    # from a density the caller holds, into the real part of a buffer, as
+    # SplitStepEvolver builds its phase factor
+    buf = np.zeros(psi.shape, dtype=complex)
+    got = _mean_field(g4, None, ns, dens, out=buf.real)
+    assert np.shares_memory(got, buf)
+    assert np.array_equal(buf.real, _mean_field(g4, psi, ns))
+    assert not buf.imag.any()
+
+
 def test_energy_self_interaction_floor(grid, par):
     # the energy has the GPE's floor: a component with N_a <= 1 has no
     # self-energy, one with N_a > 1 has g_aa/2 N_a (N_a - 1) int |phi_a|^4
