@@ -84,7 +84,7 @@ def _point_job(payload):
     """One fork's backward ramp and measurement (and its oracle witness), run
     in a worker process or, with one worker, in this one."""
     fork, rates, snapshot_path = payload
-    t0 = time.time()
+    t0 = time.perf_counter()
     oracle_e = float("nan")
     try:
         point = fork.finish(snapshot_path)
@@ -96,7 +96,7 @@ def _point_job(payload):
             oracle_e = oracle4mode.oracle_witness(st).e_epr
     except Exception as exc:  # noqa: BLE001 - per-point fault isolation
         point = failed_point(fork.cfg, fork.t_int, exc)
-    return point, oracle_e, time.time() - t0
+    return point, oracle_e, time.perf_counter() - t0
 
 
 def _grid_points(cfg):
@@ -189,6 +189,9 @@ def _cmd_scan(cfg, args, out_dir):
                       "norm_drift": point.norm_drift,
                       "unwrap_step": point.unwrap_step,
                       "separation_end": point.separation_end,
+                      "ramp_s": point.ramp_s,
+                      "moments_s": point.moments_s,
+                      "witness_s": point.witness_s,
                       "seconds": dt_s})
     _write_table(os.path.join(out_dir, "results.csv"),
                  tag_columns + CSV_COLUMNS, rows)

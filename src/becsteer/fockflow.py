@@ -16,7 +16,7 @@ import numpy as np
 
 from .correlators import CorrelatorInputs
 from .grid import inner, integrate, normalized_overlap
-from .meanfield import FockVector, SplitStepEvolver, _mean_field
+from .meanfield import FockVector, SplitStepEvolver, _mean_field, _work
 
 DENSITY_FLOOR = 1e-8
 
@@ -123,9 +123,9 @@ class TrajectorySet:
         The state stays open after the run, so runs in parts step exactly as
         one run; `psi` closes it on reading.
 
-        Each step is in place on the working state, with two buffers of its
-        size made per call, so that neither a fork nor a pickled set shares
-        them (see SplitStepEvolver.step).  Its one density, of the swept
+        Each step is in place on the working state, with three buffers of
+        its size made per call, so that neither a fork nor a pickled set
+        shares them (see SplitStepEvolver.step).  Its one density, of the swept
         state, feeds the phase's mean field, the 20 norms of the norm check
         and the Theta rate; the mean-phase overlaps read the stepped state.
         The array `psi` returned before the run is not the one stepped."""
@@ -133,7 +133,7 @@ class TrajectorySet:
         if steps <= 0:
             return
         evolver = self._open(dt, v)
-        work = (np.empty(self._psi.shape, dtype=complex), np.empty(self._psi.shape))
+        work = _work(self._psi.shape)
         dens = work[1]
         for _ in range(steps):
             v = np.asarray(potentials(self.t + dt), dtype=float)
@@ -174,13 +174,13 @@ class TrajectorySet:
         delta = np.array([p_a, -p_a, p_b, -p_b], dtype=float)
         return float(delta @ self.theta_coeff)
 
-    def phase_gradients(self):
-        """d(theta_alpha)/d(u_sigma) fields, shape (4, 2, n_r, n_z).
+    def phase_gradients(self, psi):
+        """d(theta_alpha)/d(u_sigma) fields, shape (4, 2, n_r, n_z), of the
+        closed wavefunctions psi as the `psi` property returns them.
 
         Centered difference of the unwrapped phases of the +beta and -beta
         axis configurations; cells below the central density floor are zeroed.
         """
-        psi = self.psi
         center = psi[self.CENTER]
         dens = np.abs(center) ** 2
         mask = dens >= DENSITY_FLOOR * dens.max(axis=(-2, -1), keepdims=True)
@@ -201,12 +201,14 @@ class TrajectorySet:
         return normalized_overlap(self.grid, d0, d1)
 
     def correlator_inputs(self, C):
-        """Snapshot of everything the correlator evaluation needs."""
-        grads = self.phase_gradients()
+        """Snapshot of everything the correlator evaluation needs, from one
+        read of the closed state."""
+        psi = self.psi
+        grads = self.phase_gradients(psi)
         m = self.grid.n_r * self.grid.n_z
         return CorrelatorInputs(
             weights=self.grid.weights.reshape(m),
-            phibar=self.psi[self.CENTER].reshape(4, m).copy(),
+            phibar=psi[self.CENTER].reshape(4, m).copy(),
             grad=grads.reshape(4, 2, m),
             theta_u=np.array([self.theta(1, 0), self.theta(0, 1)]),
             nbar=self.nbar,

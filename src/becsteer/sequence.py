@@ -174,6 +174,11 @@ class PointResult:
     steps: int = 0                # steps taken after its fork
     norm_drift: float = float("nan")   # largest norm drift of its steps
     unwrap_step: float = float("nan")  # largest mean-phase change in a step
+    # wall times of finish's layers: the steps after the fork, the
+    # correlator inputs with the spin moments, the witness with the overlaps
+    ramp_s: float = float("nan")
+    moments_s: float = float("nan")
+    witness_s: float = float("nan")
 
 
 def failed_point(cfg, t_int, exc):
@@ -207,17 +212,24 @@ class HoldFork:
         def pots(t):
             return component_potentials(traj.grid, cfg, t, t_int)
 
+        t0 = time.perf_counter()
         traj.run(pots, self.dt, self.steps)
+        t1 = time.perf_counter()
         inp = traj.correlator_inputs(cfg.pulse_amplitudes())
+        moments = spin_moments(inp)
+        t2 = time.perf_counter()
+        result = epr_witness(moments)
+        result.overlap_a = traj.density_overlap("a")
+        result.overlap_b = traj.density_overlap("b")
+        t3 = time.perf_counter()
+        center = inp.phibar.reshape((4,) + traj.grid.shape)
         point = PointResult(t_int=t_int, t_total=2.0 * cfg.t_ramp + t_int,
-                            moments=spin_moments(inp), dt=self.dt,
+                            result=result, moments=moments, dt=self.dt,
                             steps=self.steps, norm_drift=traj.norm_drift,
-                            unwrap_step=traj.unwrap_step)
-        point.result = epr_witness(point.moments)
-        point.result.overlap_a = traj.density_overlap("a")
-        point.result.overlap_b = traj.density_overlap("b")
-        center = traj.psi[traj.CENTER]
-        point.separation_end = well_separation(traj.grid, center)
+                            unwrap_step=traj.unwrap_step,
+                            separation_end=well_separation(traj.grid, center),
+                            ramp_s=t1 - t0, moments_s=t2 - t1,
+                            witness_s=t3 - t2)
         if snapshot_path:
             save_snapshot(snapshot_path, traj.grid, center, traj.nbar, traj.t)
         return point

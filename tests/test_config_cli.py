@@ -250,6 +250,15 @@ def test_cli_manifest_counts_every_step(tmp_path, monkeypatch, t_ints):
     assert code == 0 and steps == len(calls) == shared
 
 
+def test_cli_manifest_splits_point_seconds_into_layers(tmp_path):
+    code, _, man = scan_tiny(tmp_path, "0, 0.25")
+    assert code == 0
+    for p in man["points"]:
+        layers = [p[k] for k in ("ramp_s", "moments_s", "witness_s")]
+        assert all(x >= 0.0 for x in layers)
+        assert sum(layers) <= p["seconds"]
+
+
 def test_cli_worker_count_determinism(tmp_path):
     cfgp = write_tiny(tmp_path)
     out1, out2 = tmp_path / "w1", tmp_path / "w2"

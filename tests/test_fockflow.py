@@ -77,7 +77,7 @@ def test_theta_rate_scale(setup):
 def test_gradients_zero_initially(setup):
     grid, g4, pots, psi0 = setup
     traj = init_trajectories(grid, g4, 40, 40, psi0)
-    g = traj.phase_gradients()
+    g = traj.phase_gradients(traj.psi)
     assert np.abs(g).max() < 1e-12
     ov = traj.correlator_inputs(C).displaced_overlap(0, 1, 0)
     assert ov == pytest.approx(1.0, abs=1e-12)
@@ -87,10 +87,10 @@ def test_gradients_grow_and_overlap_shrinks(setup):
     grid, g4, pots, psi0 = setup
     traj = init_trajectories(grid, g4, 40, 40, psi0)
     traj.run(lambda t: pots, 0.01, 50)
-    g1 = traj.phase_gradients()
+    g1 = traj.phase_gradients(traj.psi)
     ov1 = abs(traj.correlator_inputs(C).displaced_overlap(0, 1, 0))
     traj.run(lambda t: pots, 0.01, 50)
-    g2 = traj.phase_gradients()
+    g2 = traj.phase_gradients(traj.psi)
     ov2 = abs(traj.correlator_inputs(C).displaced_overlap(0, 1, 0))
     dens = np.abs(traj.psi[traj.CENTER, 0]) ** 2
     sel = dens > 1e-4 * dens.max()
@@ -109,8 +109,8 @@ def test_gradient_matches_finite_difference_of_beta(setup):
     t2 = init_trajectories(grid, g4, 40, 40, psi0, beta=2)
     t1.run(lambda t: pots, 0.01, 40)
     t2.run(lambda t: pots, 0.01, 40)
-    g1 = t1.phase_gradients()
-    g2 = t2.phase_gradients()
+    g1 = t1.phase_gradients(t1.psi)
+    g2 = t2.phase_gradients(t2.psi)
     dens = np.abs(t1.psi[t1.CENTER, 0]) ** 2
     sel = dens > 1e-3 * dens.max()
     scale = np.abs(g1[0, 0][sel]).max()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,57 @@ def test_split_step_preserves_norm(grid, par):
     psi = ev.phase(psi, ns, trap(grid), -0.5)
     nrm = np.real(np.sum(grid.weights * np.abs(psi) ** 2, axis=(-2, -1)))
     assert np.abs(nrm - 1.0).max() < 1e-12
+
+
+def test_phase_factor_matches_cos_and_sin(grid):
+    # with no interactions, unit psi and dt 1 the phase is the factor
+    # exp(-i v) itself, built from tan(v/2): large arguments, arguments
+    # next to odd multiples of pi (where the tangent is near 1.6e16) and 0
+    rng = np.random.default_rng(7)
+    odd_pi = (2 * np.arange(-159, 160) + 1) * np.pi
+    theta = np.concatenate([
+        rng.uniform(-1e3, 1e3, 2500), rng.uniform(-0.6, 0.6, 500),
+        odd_pi, np.nextafter(odd_pi, np.inf), np.nextafter(odd_pi, -np.inf),
+        odd_pi * (1 + 1e-12), [0.0, -0.0, 5e-324, 1e-300, np.pi, -np.pi]])
+    v = np.zeros(4 * grid.n_r * grid.n_z)
+    v[:theta.size] = theta
+    v = v.reshape((4,) + grid.shape)
+    ev = SplitStepEvolver(grid, np.zeros((4, 4)), 1.0)
+    factor = ev.phase(np.ones(v.shape), np.ones(4), v, 1.0)
+    assert np.abs(factor - (np.cos(v) - 1j * np.sin(v))).max() <= 4.5e-16
+    assert np.abs(np.abs(factor) - 1.0).max() <= 4.5e-16
+    assert np.all(factor[v == 0.0] == 1.0)
+
+
+def test_opening_then_closing_returns_psi(grid, par):
+    rng = np.random.default_rng(4)
+    psi = ground_state(grid, FockVector(50, 50, 50, 50), trap(grid), par.g4())
+    psi = psi * np.exp(1j * rng.uniform(-np.pi, np.pi, psi.shape))
+    ns = np.full(4, 50.0)
+    ev = SplitStepEvolver(grid, par.g4(), 0.05)
+    back = ev.phase(ev.phase(psi, ns, trap(grid), 0.5), ns, trap(grid), -0.5)
+    assert np.abs(back - psi).max() <= 1e-15 * np.abs(psi).max()
+
+
+def test_step_with_work_allocates_no_state(grid, par):
+    # a step given its buffers stays in place: what it allocates is the
+    # few small arrays of the mean-field couplings, not a field
+    psi = ground_state(grid, FockVector(50, 50, 50, 50), trap(grid), par.g4())
+    psi = psi[None].repeat(5, axis=0).astype(complex)
+    ns = np.full((5, 4), 50.0)
+    v = trap(grid)
+    ev = SplitStepEvolver(grid, par.g4(), 0.01)
+    work = becsteer.meanfield._work(psi.shape)
+    ev.step(psi, ns, v, work)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert ev.step(psi, ns, v, work) is psi
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.nbytes / 4
 
 
 def test_norm_drift_raises(grid, par):

@@ -220,6 +220,24 @@ def test_run_protocol_isolates_failed_points(prep, monkeypatch, tmp_path):
         assert [rec["steps"] for rec in man["prefixes"]] == [steps]
 
 
+def test_finish_closes_the_state_once(prep, monkeypatch, tmp_path):
+    # the correlator inputs, the separation and the snapshot share one read
+    # of the closed state: one closing half phase per point
+    from becsteer.meanfield import SplitStepEvolver
+    cfg, pr = prep
+    ((_, fork),) = hold_forks(cfg, pr)
+    closes = []
+    real = SplitStepEvolver.phase
+
+    def counted(self, psi, ns, v, frac):
+        closes.append(frac == -0.5)
+        return real(self, psi, ns, v, frac)
+    monkeypatch.setattr(SplitStepEvolver, "phase", counted)
+    point = fork.finish(str(tmp_path / "snap.txt"))
+    assert point.error is None and point.steps > 0
+    assert sum(closes) == 1
+
+
 def test_snapshot_written(prep, tmp_path):
     cfg, pr = prep
     path = tmp_path / "snap.txt"
