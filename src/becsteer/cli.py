@@ -292,14 +292,14 @@ def _cmd_check(args):
     g4 = par.g4()
     grid = build_grid(10, 16, 0.45, 0.45, -3.6)
 
-    def _lap_hermitian():
+    def _kin_hermitian():
         rng = np.random.default_rng(0)
         f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         g = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-        lhs = inner(grid, f, grid.laplacian(g))
-        rhs = inner(grid, grid.laplacian(f), g)
+        lhs = inner(grid, f, grid.kinetic(g))
+        rhs = inner(grid, grid.kinetic(f), g)
         assert abs(lhs - rhs) < 1e-10 * abs(lhs)
-    check("laplacian hermitian under volume weights", _lap_hermitian)
+    check("kinetic operator hermitian under volume weights", _kin_hermitian)
 
     V = 0.5 * (grid.r[:, None] ** 2 + grid.z[None, :] ** 2) * np.ones((4, 1, 1))
     gs = {}

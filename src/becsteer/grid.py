@@ -1,4 +1,4 @@
-"""Cylindrically symmetric lattice, integration weights, differential operators.
+"""Cylindrically symmetric lattice, integration weights, kinetic operator.
 
 All field computations run on a (r, z) grid representing a 3-D volume with
 cylindrical symmetry.  Radial points sit at half-offset positions
@@ -18,10 +18,18 @@ class GridError(ValueError):
 
 
 class CylGrid:
-    """Cylindrical (r, z) lattice with volume weights and Laplacian stencils.
+    """Cylindrical (r, z) lattice with volume weights and the kinetic
+    operator K = -Laplacian/2, one dense matrix per axis.
 
-    Immutable after construction; all operations on fields are pure functions,
-    safe to call concurrently.
+    k_r is the conservative radial form -(1/2r) d/dr (r d/dr), with fluxes
+    at half points: the flux through r = 0 vanishes identically and the
+    outer edge r = n_r dr is a hard zero (Dirichlet).  k_z is the 3-point
+    -(1/2) d^2/dz^2, Dirichlet at both ends.  k_r is symmetric under the
+    weights r, k_z symmetric, so K is Hermitian under the grid weights.
+
+    Immutable after construction: r, z, weights, k_r and k_z are read-only
+    arrays, and all operations on fields are pure functions, safe to call
+    concurrently.
     """
 
     def __init__(self, n_r, n_z, dr, dz, z_min):
@@ -39,14 +47,14 @@ class CylGrid:
         self.z = self.z_min + np.arange(self.n_z) * self.dz
         self.weights = 2.0 * np.pi * self.r[:, None] * self.dr * self.dz * np.ones(self.n_z)[None, :]
 
-        # Conservative radial Laplacian (1/r) d/dr (r d/dr) with fluxes at
-        # half points; the flux through r = 0 vanishes identically and the
-        # outer edge r = n_r*dr is a hard zero (Dirichlet).
         r_lo = self.r - 0.5 * self.dr   # r_{i-1/2}, r_lo[0] = 0
         r_hi = self.r + 0.5 * self.dr
-        self._r_sub = r_lo / (self.r * self.dr**2)    # couples i to i-1
-        self._r_sup = r_hi / (self.r * self.dr**2)    # couples i to i+1
-        self._r_diag = -(r_lo + r_hi) / (self.r * self.dr**2)
+        self.k_r = -0.5 * ((np.diag(r_lo[1:], -1) - np.diag(r_lo + r_hi) + np.diag(r_hi[:-1], 1))
+                           / (self.r * self.dr**2)[:, None])
+        self.k_z = -0.5 * ((np.eye(self.n_z, k=-1) - 2.0 * np.eye(self.n_z) + np.eye(self.n_z, k=1))
+                           / self.dz**2)
+        for a in (self.r, self.z, self.weights, self.k_r, self.k_z):
+            a.setflags(write=False)
 
     @property
     def shape(self):
@@ -56,30 +64,9 @@ class CylGrid:
     def volume(self):
         return np.pi * (self.n_r * self.dr) ** 2 * (self.n_z * self.dz)
 
-    def radial_tridiag(self):
-        """(sub, diag, sup) of the radial part of the Laplacian."""
-        return self._r_sub.copy(), self._r_diag.copy(), self._r_sup.copy()
-
-    def axial_tridiag(self):
-        """(sub, diag, sup) of the axial part of the Laplacian (Dirichlet)."""
-        n = self.n_z
-        sub = np.full(n, 1.0 / self.dz**2)
-        sup = np.full(n, 1.0 / self.dz**2)
-        diag = np.full(n, -2.0 / self.dz**2)
-        return sub, diag, sup
-
-    def laplacian(self, f):
-        """Discrete cylindrical Laplacian of a field shaped (..., n_r, n_z)."""
-        out = np.empty_like(f, dtype=np.result_type(f, float))
-        # radial part
-        out[...] = self._r_diag[:, None] * f
-        out[..., 1:, :] += self._r_sub[1:, None] * f[..., :-1, :]
-        out[..., :-1, :] += self._r_sup[:-1, None] * f[..., 1:, :]
-        # axial part
-        out -= 2.0 / self.dz**2 * f
-        out[..., :, 1:] += f[..., :, :-1] / self.dz**2
-        out[..., :, :-1] += f[..., :, 1:] / self.dz**2
-        return out
+    def kinetic(self, f):
+        """K f = k_r f + f k_z^T of a field shaped (..., n_r, n_z)."""
+        return self.k_r @ f + f @ self.k_z.T
 
 
 def build_grid(n_r, n_z, dr, dz, z_min):
@@ -118,8 +105,3 @@ def inner(grid, f, g):
 def norm(grid, f):
     """Grid norm of each (n_r, n_z) field in f."""
     return np.sqrt(integrate(grid, np.abs(f) ** 2))
-
-
-def apply_kinetic_potential(grid, psi, V):
-    """Apply h = -Laplacian/2 + V to a field; Hermitian under the grid weights."""
-    return -0.5 * grid.laplacian(psi) + V * psi

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CylGrid, integrate, inner, norm, apply_kinetic_potential
+from .grid import CylGrid, integrate, inner, norm
 
 BOHR_RADIUS = 5.2918e-11        # m
 HBAR = 1.054571817e-34          # J s
@@ -112,15 +112,9 @@ class FockVector(NamedTuple):
         return np.array(self, dtype=float)
 
 
-def _dense(sub, diag, sup):
-    """Dense matrix of the tridiagonal stencil (sub, diag, sup)."""
-    return np.diag(sub[1:], -1) + np.diag(diag) + np.diag(sup[:-1], 1)
-
-
-def _cayley(sub, diag, sup, tau):
-    """Dense (I + tau/2 K)^-1 (I - tau/2 K) for K = -L/2, L = (sub, diag, sup)."""
-    k = -0.5 * _dense(sub, diag, sup)
-    eye = np.eye(len(diag))
+def _cayley(k, tau):
+    """Dense (I + tau/2 K)^-1 (I - tau/2 K) of the kinetic matrix k."""
+    eye = np.eye(len(k))
     return np.linalg.solve(eye + 0.5 * tau * k, eye - 0.5 * tau * k)
 
 
@@ -170,7 +164,7 @@ def _gpe_residual(grid, psi, ns, potentials, g4):
     """((H - mu) psi, mu, effective potential) for H = h + mean field and
     mu = Re<psi|H psi> per component."""
     veff = potentials + _mean_field(g4, psi, ns)
-    h_psi = apply_kinetic_potential(grid, psi, veff)
+    h_psi = grid.kinetic(psi) + veff * psi
     mu = np.real(inner(grid, psi, h_psi))
     return h_psi - mu[..., None, None] * psi, mu, veff
 
@@ -189,8 +183,8 @@ class SplitStepEvolver:
     each a Cayley (Crank-Nicolson) propagator U = (I + tau/2 K)^-1
     (I - tau/2 K) with tau = i dt/2 along z and tau = i dt along r.  U_r and
     U_z act on different indices and commute, so the two z half steps are
-    one matrix U_zz = U_z U_z.  Both are built once, as dense matrices from
-    the grid's Laplacian stencil and cut at PROPAGATOR_CUT, so a sweep is two
+    one matrix U_zz = U_z U_z.  Both are built once, from the grid's kinetic
+    matrices k_z and k_r, and cut at PROPAGATOR_CUT, so a sweep is two
     matrix products; U preserves the weighted norm to roundoff.  The
     potential and nonlinear part is an exact local factor, `phase`.  Works
     on a batch of Fock configurations at once: psi shaped (..., 4, n_r, n_z).
@@ -216,9 +210,9 @@ class SplitStepEvolver:
         self.grid = grid
         self.g4 = np.asarray(g4, dtype=float)
         self.dt = float(dt)
-        u_z = _cayley(*grid.axial_tridiag(), 0.5j * self.dt)
+        u_z = _cayley(grid.k_z, 0.5j * self.dt)
         self._u_zz = _cut(u_z @ u_z)
-        self._u_r = _cut(_cayley(*grid.radial_tridiag(), 1j * self.dt))
+        self._u_r = _cut(_cayley(grid.k_r, 1j * self.dt))
 
     def _kinetic(self, psi, sweep=None, out=None):
         """U_r (psi U_zz^T): the z product as one matrix product over every
@@ -325,7 +319,7 @@ def energy_fields(grid, psi, ns, potentials, g4):
     """
     ns = np.asarray(ns, dtype=float)
     veff = potentials + 0.5 * _mean_field(g4, psi, ns)
-    return ns @ np.real(inner(grid, psi, apply_kinetic_potential(grid, psi, veff)))
+    return ns @ np.real(inner(grid, psi, grid.kinetic(psi) + veff * psi))
 
 
 def chemical_potential(grid, psi, ns, potentials, g4):
@@ -339,17 +333,17 @@ def gpe_residual(grid, psi, ns, potentials, g4):
 
 
 def _kinetic_eigenbasis(grid):
-    """Eigen-factors of the kinetic operator K = -Laplacian/2 = K_r + K_z.
+    """Eigen-factors of the grid's kinetic operator K = k_r + k_z.
 
-    The radial stencil is symmetric under the weights r, so diag(sqrt r)
-    makes it a symmetric matrix for eigh.  Returns (q_r, q_z, sqrt_r, k):
-    the orthonormal radial and axial eigenvectors, sqrt(r) as a column, and
-    the (n_r, n_z) eigenvalues of K on each product of modes.
+    k_r is symmetric under the weights r, so diag(sqrt r) makes it a
+    symmetric matrix for eigh.  Returns (q_r, q_z, sqrt_r, k): the
+    orthonormal radial and axial eigenvectors, sqrt(r) as a column, and the
+    (n_r, n_z) eigenvalues of K on each product of modes.
     """
     s = np.sqrt(grid.r)[:, None]
-    lam_r, q_r = np.linalg.eigh(s * _dense(*grid.radial_tridiag()) / s.T)
-    lam_z, q_z = np.linalg.eigh(_dense(*grid.axial_tridiag()))
-    return q_r, q_z, s, -0.5 * (lam_r[:, None] + lam_z[None, :])
+    lam_r, q_r = np.linalg.eigh(s * grid.k_r / s.T)
+    lam_z, q_z = np.linalg.eigh(grid.k_z)
+    return q_r, q_z, s, lam_r[:, None] + lam_z[None, :]
 
 
 def _precondition(basis, f, alpha):

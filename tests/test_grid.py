@@ -50,8 +50,8 @@ def test_laplacian_hermitian_under_weights():
     rng = np.random.default_rng(1)
     f = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
     h = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
-    lhs = inner(g, f, g.laplacian(h))
-    rhs = inner(g, g.laplacian(f), h)
+    lhs = inner(g, f, g.kinetic(h))
+    rhs = inner(g, g.kinetic(f), h)
     assert abs(lhs - rhs) < 1e-12 * max(abs(lhs), 1.0)
 
 
@@ -60,7 +60,7 @@ def test_laplacian_of_harmonic_eigenfunction():
     g = build_grid(80, 160, 0.08, 0.08, -6.4)
     rho2 = g.r[:, None] ** 2 + g.z[None, :] ** 2
     psi = np.exp(-0.5 * rho2)
-    h = -0.5 * g.laplacian(psi) + 0.5 * rho2 * psi
+    h = g.kinetic(psi) + 0.5 * rho2 * psi
     # compare in the bulk; Dirichlet edges deviate
     sel = rho2 < 4.0
     assert np.allclose(h[sel] / psi[sel], 1.5, atol=5e-3)
@@ -70,10 +70,17 @@ def test_laplacian_batched_matches_single():
     g = make_grid()
     rng = np.random.default_rng(2)
     f = rng.normal(size=(3, 4) + g.shape)
-    lap = g.laplacian(f)
+    lap = g.kinetic(f)
     for i in range(3):
         for j in range(4):
-            assert np.allclose(lap[i, j], g.laplacian(f[i, j]))
+            assert np.allclose(lap[i, j], g.kinetic(f[i, j]))
+
+
+def test_grid_arrays_are_read_only():
+    g = make_grid()
+    for name in ("r", "z", "weights", "k_r", "k_z"):
+        with pytest.raises(ValueError):
+            getattr(g, name)[0] = 1.0
 
 
 def test_norm_and_inner_consistency():

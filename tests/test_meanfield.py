@@ -1,18 +1,24 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import becsteer.meanfield
+from becsteer.config import load_config
 from becsteer.grid import build_grid, integrate, norm
 from becsteer.meanfield import (GS_TOL, PROPAGATOR_CUT, ConvergenceError,
                                 FockVector, IntegrationError, PhysicalParams,
                                 SplitStepEvolver, _cayley, _cut,
-                                _gpe_residual, _mean_field,
+                                _gpe_residual, _kinetic_eigenbasis,
+                                _mean_field, _precondition,
                                 chemical_potential, energy_fields,
                                 gpe_residual, ground_state, load_snapshot,
                                 save_snapshot, stable_dt)
+
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -137,9 +143,9 @@ def complex_ground_state(grid, ns, pots, g4, tol):
         z0 = grid.z[np.unravel_index(np.argmin(v), grid.shape)[1]]
         gauss = np.exp(-0.5 * (grid.r[:, None] ** 2 + (grid.z[None, :] - z0) ** 2))
         psi[a] = gauss / norm(grid, gauss)
-    u_z = _cayley(*grid.axial_tridiag(), RELAX_TAU / 2 + 0j)
+    u_z = _cayley(grid.k_z, RELAX_TAU / 2 + 0j)
     u_zz = _cut(u_z @ u_z)
-    u_r = _cut(_cayley(*grid.radial_tridiag(), RELAX_TAU + 0j))
+    u_r = _cut(_cayley(grid.k_r, RELAX_TAU + 0j))
 
     def half_phase(f):
         return f * np.exp(-0.5 * (RELAX_TAU + 0j) * (pots + _mean_field(g4, f, ns)))
@@ -157,12 +163,12 @@ def complex_ground_state(grid, ns, pots, g4, tol):
 
 
 def spectral_gaps(grid, veff, mu):
-    """E1 - mu of each component's effective Hamiltonian -Laplacian/2 +
-    veff_a, from dense eigvalsh of its weight-symmetrized matrix."""
-    n = grid.n_r * grid.n_z
-    lap = grid.laplacian(np.eye(n).reshape((n,) + grid.shape)).reshape(n, n).T
+    """E1 - mu of each component's effective Hamiltonian K + veff_a, from
+    dense eigvalsh of its weight-symmetrized matrix."""
+    k = (np.kron(grid.k_r, np.eye(grid.n_z))
+         + np.kron(np.eye(grid.n_r), grid.k_z))
     sw = np.sqrt(grid.weights.ravel())
-    kin = -0.5 * sw[:, None] * lap / sw[None, :]
+    kin = sw[:, None] * k / sw[None, :]
     return np.array([np.linalg.eigvalsh(kin + np.diag(v.ravel()))[1] - m
                      for v, m in zip(veff, mu)])
 
@@ -357,7 +363,7 @@ def test_chemical_potential_self_interaction_floor(grid, par):
         for b in range(4):
             if b != a:
                 veff = veff + g4[a, b] * ns[b] * dens[b]
-        h_psi = -0.5 * grid.laplacian(psi[a]) + veff * psi[a]
+        h_psi = grid.kinetic(psi[a]) + veff * psi[a]
         expect.append(np.real(np.sum(grid.weights * np.conj(psi[a]) * h_psi)))
     mu = chemical_potential(grid, psi, ns, pots, g4)
     assert mu == pytest.approx(expect, rel=1e-12, abs=0)
@@ -412,14 +418,14 @@ def test_energy_self_interaction_floor(grid, par):
 
 def test_split_step_kinetic_is_grid_laplacian(grid):
     # with no potential and no interactions one step is exp(-h H) with
-    # h = i dt and H = -Laplacian/2, so (psi - step(psi))/h -> H psi at
-    # first order in dt; the ground state and energy_fields use the same
-    # stencil
+    # h = i dt and H = grid.kinetic, so (psi - step(psi))/h -> H psi at
+    # first order in dt; the ground state and energy_fields apply the same
+    # matrices (test_preconditioner_inverts_the_residual_operator)
     r, z = grid.r[:, None], grid.z[None, :]
     f = np.exp(-0.5 * r ** 2 - 0.4 * (z - 0.3) ** 2 + 0.7j * z) * (1 + 0.3 * r ** 2)
     psi = f[None].repeat(4, axis=0)
     zero_v = np.zeros((4,) + grid.shape)
-    h_psi = -0.5 * grid.laplacian(psi)
+    h_psi = grid.kinetic(psi)
     errs = []
     for dt in (2e-3, 1e-3):
         ev = SplitStepEvolver(grid, np.zeros((4, 4)), dt)
@@ -428,6 +434,21 @@ def test_split_step_kinetic_is_grid_laplacian(grid):
         errs.append(np.abs(got - h_psi).max() / np.abs(h_psi).max())
     assert errs[1] < 2.0 * 1e-3
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.05)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig3"])
+def test_preconditioner_inverts_the_residual_operator(name):
+    # the ground state's preconditioner (K + alpha)^-1 is built from the
+    # eigenbasis of the matrices that grid.kinetic, and so the residual,
+    # applies
+    cfg = load_config(os.path.join(HERE, "configs", f"{name}.cfg"))
+    grid = cfg.protocol().build_grid()
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(4,) + grid.shape)
+    alpha = np.array([1.0, 2.0, 5.0, 30.0])
+    rhs = grid.kinetic(f) + alpha[:, None, None] * f
+    got = _precondition(_kinetic_eigenbasis(grid), rhs, alpha)
+    assert np.abs(got - f).max() < 1e-13 * np.abs(f).max()
 
 
 def test_propagators_hold_no_entry_below_the_cut(par):
@@ -440,8 +461,8 @@ def test_propagators_hold_no_entry_below_the_cut(par):
         mag = np.abs(u)
         assert mag[mag > 0].min() >= PROPAGATOR_CUT * mag.max()
     assert (ev._u_zz == 0).any()
-    u_z = _cayley(*grid.axial_tridiag(), 0.5j * dt)
-    u_r = _cayley(*grid.radial_tridiag(), 1j * dt)
+    u_z = _cayley(grid.k_z, 0.5j * dt)
+    u_r = _cayley(grid.k_r, 1j * dt)
     rng = np.random.default_rng(3)
     psi = rng.normal(size=(4,) + grid.shape) + 1j * rng.normal(size=(4,) + grid.shape)
     want = (u_r @ (psi @ u_z.T)) @ u_z.T
