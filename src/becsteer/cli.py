@@ -8,6 +8,10 @@ Subcommands::
     becsteer check
 
 `oracle` accepts `--workers` too, and runs in one process whatever its value.
+Pin BLAS to one thread per process (`OPENBLAS_NUM_THREADS=1`) when running
+with `--workers`: at BLAS's default thread count each worker starts its own
+BLAS threads, and on two CPUs a fig2a scan with `--workers 2` took 1433 s
+instead of 250 s.
 `run` scans the grid sweep_n x sweep_dz_max x sweep_t_ramp if the config sets
 a sweep key (an unset axis keeps its value), else the config's own point.
 Each grid point gets one ground state, solved to `gs_tol` before any point
@@ -121,7 +125,7 @@ def _cmd_scan(cfg, args, out_dir):
     point's ground state (and chi rates) is prepared here first.  Then each
     grid point's hold times run on shared prefixes here, and each fork's rest
     is one job, sent to the pool as soon as the fork is taken."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     tag_columns, points = _grid_points(cfg)
     prepared, t_prep, t_oracle = [], 0.0, 0.0
     for tag, values in points:
@@ -130,22 +134,22 @@ def _cmd_scan(cfg, args, out_dir):
         # a fault of the ground state or of the chi rates fails this grid
         # point's rows only (Exception: a BaseException still ends the run)
         prep = rates = error = None
-        t1 = time.time()
+        t1 = time.perf_counter()
         try:
             prep = prepare_initial(proto, point_cfg.params,
                                    tol=values["gs_tol"])
         except Exception as exc:  # noqa: BLE001 - fails its points
             error = exc
-        t_prep += time.time() - t1
+        t_prep += time.perf_counter() - t1
         if values["with_oracle"] and error is None:
-            t1 = time.time()
+            t1 = time.perf_counter()
             try:
                 rates = oracle4mode.adiabatic_rates(
                     proto, point_cfg.params, values["oracle_samples"],
                     tol=values["gs_tol"])
             except Exception as exc:  # noqa: BLE001 - fails its points
                 error = exc
-            t_oracle += time.time() - t1
+            t_oracle += time.perf_counter() - t1
         prepared.append((tag, proto, prep, rates, error))
 
     jobs, prefixes = [], []
@@ -195,7 +199,7 @@ def _cmd_scan(cfg, args, out_dir):
                       "seconds": dt_s})
     _write_table(os.path.join(out_dir, "results.csv"),
                  tag_columns + CSV_COLUMNS, rows)
-    timings = {"prepare": t_prep, "total": time.time() - t0}
+    timings = {"prepare": t_prep, "total": time.perf_counter() - t0}
     if cfg.values["with_oracle"]:
         timings["oracle"] = t_oracle
     _manifest(os.path.join(out_dir, "manifest.json"), cfg, args.command,
@@ -204,7 +208,7 @@ def _cmd_scan(cfg, args, out_dir):
 
 
 def _cmd_oracle(cfg, args, out_dir):
-    t0 = time.time()
+    t0 = time.perf_counter()
     proto = cfg.protocol()
     phis_ab = cfg.values["oracle_phi_ab"]
     if phis_ab is not None:
@@ -235,12 +239,12 @@ def _cmd_oracle(cfg, args, out_dir):
                  columns + ("phi_a", "phi_b", "phi_ab", "oracle_E_EPR",
                             "alpha_opt", "beta_opt"), rows)
     _manifest(os.path.join(out_dir, "manifest.json"), cfg, "oracle",
-              {"total": time.time() - t0}, [])
+              {"total": time.perf_counter() - t0}, [])
     return 0
 
 
 def _cmd_losses(cfg, args, out_dir):
-    t0 = time.time()
+    t0 = time.perf_counter()
     proto = cfg.protocol()
     grid = proto.build_grid()
     pots = component_potentials(grid, proto, proto.t_ramp, 0.0)
@@ -267,7 +271,7 @@ def _cmd_losses(cfg, args, out_dir):
           f"({budget.n_lost_2b:.3g} two-body), "
           f"fraction {budget.lost_fraction:.3g}")
     _manifest(os.path.join(out_dir, "manifest.json"), cfg, "losses",
-              {"total": time.time() - t0}, [])
+              {"total": time.perf_counter() - t0}, [])
     return 0
 
 
@@ -361,7 +365,9 @@ def main(argv=None):
         p.add_argument("--set", action="append", default=[],
                        help="override a config key, e.g. --set 'n_a = 50'")
         if name != "losses":  # oracle ignores it: one command line serves both
-            p.add_argument("--workers", type=_workers, default=1)
+            p.add_argument("--workers", type=_workers, default=1,
+                           help="worker processes for the points; pin BLAS "
+                                "to one thread each (OPENBLAS_NUM_THREADS=1)")
         if name == "run":
             p.add_argument("--snapshot", action="store_true")
     sub.add_parser("check")

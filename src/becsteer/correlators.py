@@ -123,7 +123,7 @@ class CorrelatorInputs:
     theta_u: np.ndarray
     nbar: FockVector
     C: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False, init=False)
     _bessel: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):

@@ -27,9 +27,14 @@ class CylGrid:
     -(1/2) d^2/dz^2, Dirichlet at both ends.  k_r is symmetric under the
     weights r, k_z symmetric, so K is Hermitian under the grid weights.
 
-    Immutable after construction: r, z, weights, k_r and k_z are read-only
-    arrays, and all operations on fields are pure functions, safe to call
-    concurrently.
+    Each axis is diagonalized once: lam_r, q_r are the eigenpairs of the
+    symmetric diag(sqrt_r) k_r diag(sqrt_r)^-1, with sqrt_r = sqrt(r) as a
+    column, and lam_z, q_z those of k_z.  The propagators
+    (`kinetic_functions`) and the ground state's preconditioner read them.
+
+    Immutable after construction: r, z, weights, k_r, k_z and the eigenpairs
+    are read-only arrays, and all operations on fields are pure functions,
+    safe to call concurrently.
     """
 
     def __init__(self, n_r, n_z, dr, dz, z_min):
@@ -53,7 +58,11 @@ class CylGrid:
                            / (self.r * self.dr**2)[:, None])
         self.k_z = -0.5 * ((np.eye(self.n_z, k=-1) - 2.0 * np.eye(self.n_z) + np.eye(self.n_z, k=1))
                            / self.dz**2)
-        for a in (self.r, self.z, self.weights, self.k_r, self.k_z):
+        self.sqrt_r = np.sqrt(self.r)[:, None]
+        self.lam_r, self.q_r = np.linalg.eigh(self.sqrt_r * self.k_r / self.sqrt_r.T)
+        self.lam_z, self.q_z = np.linalg.eigh(self.k_z)
+        for a in (self.r, self.z, self.weights, self.k_r, self.k_z, self.sqrt_r,
+                  self.lam_r, self.q_r, self.lam_z, self.q_z):
             a.setflags(write=False)
 
     @property
@@ -67,6 +76,12 @@ class CylGrid:
     def kinetic(self, f):
         """K f = k_r f + f k_z^T of a field shaped (..., n_r, n_z)."""
         return self.k_r @ f + f @ self.k_z.T
+
+    def kinetic_functions(self, f_r, f_z):
+        """(f_r(k_r), f_z(k_z)), dense matrices, for functions f_r and f_z
+        applied elementwise to each axis's eigenvalues."""
+        f_k_r = (self.q_r / self.sqrt_r * f_r(self.lam_r)) @ (self.q_r.T * self.sqrt_r.T)
+        return f_k_r, (self.q_z * f_z(self.lam_z)) @ self.q_z.T
 
 
 def build_grid(n_r, n_z, dr, dz, z_min):

@@ -112,26 +112,6 @@ class FockVector(NamedTuple):
         return np.array(self, dtype=float)
 
 
-def _cayley(k, tau):
-    """Dense (I + tau/2 K)^-1 (I - tau/2 K) of the kinetic matrix k."""
-    eye = np.eye(len(k))
-    return np.linalg.solve(eye + 0.5 * tau * k, eye - 0.5 * tau * k)
-
-
-# Propagator entries below this fraction of the largest one are set to zero.
-# Far from the diagonal they decay to below 1e-300, and products that land in
-# the subnormal range take the CPU's slow path: at dt 0.004 on the 28 x 204
-# fig2a grid, U_zz has 276 subnormal parts, and the cut takes a sweep from
-# 12 to 5 ms.  What it drops is below 1e-30 of the sweep's largest entry.
-PROPAGATOR_CUT = 1e-30
-
-
-def _cut(u):
-    """u with every entry below PROPAGATOR_CUT * max|u| set to zero."""
-    mag = np.abs(u)
-    return np.where(mag < PROPAGATOR_CUT * mag.max(), 0.0, u)
-
-
 def _mean_field(g4, psi, ns, dens=None, out=None):
     """g_aa max(N_a - 1, 0) |psi_a|^2 + sum_{a'!=a} g_aa' N_a' |psi_a'|^2.
 
@@ -183,11 +163,12 @@ class SplitStepEvolver:
     each a Cayley (Crank-Nicolson) propagator U = (I + tau/2 K)^-1
     (I - tau/2 K) with tau = i dt/2 along z and tau = i dt along r.  U_r and
     U_z act on different indices and commute, so the two z half steps are
-    one matrix U_zz = U_z U_z.  Both are built once, from the grid's kinetic
-    matrices k_z and k_r, and cut at PROPAGATOR_CUT, so a sweep is two
-    matrix products; U preserves the weighted norm to roundoff.  The
-    potential and nonlinear part is an exact local factor, `phase`.  Works
-    on a batch of Fock configurations at once: psi shaped (..., 4, n_r, n_z).
+    one matrix U_zz = U_z U_z.  Both are built once, as functions of the
+    eigenvalues of the grid's k_r and k_z (`CylGrid.kinetic_functions`), so
+    a sweep is two matrix products; U preserves the weighted norm to
+    roundoff.  The potential and nonlinear part is an exact local factor,
+    `phase`.  Works on a batch of Fock configurations at once: psi shaped
+    (..., 4, n_r, n_z).
 
     A closed Strang step is a half phase at v(t), the kinetic sweep and a
     half phase at v(t + dt).  The closing half phase of one step and the
@@ -210,9 +191,10 @@ class SplitStepEvolver:
         self.grid = grid
         self.g4 = np.asarray(g4, dtype=float)
         self.dt = float(dt)
-        u_z = _cayley(grid.k_z, 0.5j * self.dt)
-        self._u_zz = _cut(u_z @ u_z)
-        self._u_r = _cut(_cayley(grid.k_r, 1j * self.dt))
+        h = 1j * self.dt
+        self._u_r, self._u_zz = grid.kinetic_functions(
+            lambda lam: (1.0 - 0.5 * h * lam) / (1.0 + 0.5 * h * lam),
+            lambda lam: ((1.0 - 0.25 * h * lam) / (1.0 + 0.25 * h * lam)) ** 2)
 
     def _kinetic(self, psi, sweep=None, out=None):
         """U_r (psi U_zz^T): the z product as one matrix product over every
@@ -332,29 +314,15 @@ def gpe_residual(grid, psi, ns, potentials, g4):
     return norm(grid, _gpe_residual(grid, psi, ns, potentials, g4)[0])
 
 
-def _kinetic_eigenbasis(grid):
-    """Eigen-factors of the grid's kinetic operator K = k_r + k_z.
-
-    k_r is symmetric under the weights r, so diag(sqrt r) makes it a
-    symmetric matrix for eigh.  Returns (q_r, q_z, sqrt_r, k): the
-    orthonormal radial and axial eigenvectors, sqrt(r) as a column, and the
-    (n_r, n_z) eigenvalues of K on each product of modes.
-    """
-    s = np.sqrt(grid.r)[:, None]
-    lam_r, q_r = np.linalg.eigh(s * grid.k_r / s.T)
-    lam_z, q_z = np.linalg.eigh(grid.k_z)
-    return q_r, q_z, s, lam_r[:, None] + lam_z[None, :]
-
-
-def _precondition(basis, f, alpha):
-    """(K + alpha_a)^-1 f_a in K's eigenbasis, for fields f (..., n_comp,
-    n_r, n_z) and shifts alpha (n_comp).  The axial products run as one
-    matrix product over every row of f."""
-    q_r, q_z, s, k = basis
-    n_z = f.shape[-1]
-    c = ((s * f).reshape(-1, n_z) @ q_z).reshape(f.shape)
-    c = q_r.T @ c / (k + alpha[:, None, None])
-    c = ((q_r @ c).reshape(-1, n_z) @ q_z.T).reshape(f.shape)
+def _precondition(grid, f, alpha):
+    """(K + alpha_a)^-1 f_a in the eigenbasis of the grid's K, for fields f
+    (..., n_comp, n_r, n_z) and shifts alpha (n_comp).  The axial products
+    run as one matrix product over every row of f."""
+    s, n_z = grid.sqrt_r, f.shape[-1]
+    k = grid.lam_r[:, None] + grid.lam_z[None, :]
+    c = ((s * f).reshape(-1, n_z) @ grid.q_z).reshape(f.shape)
+    c = grid.q_r.T @ c / (k + alpha[:, None, None])
+    c = ((grid.q_r @ c).reshape(-1, n_z) @ grid.q_z.T).reshape(f.shape)
     return c / s
 
 
@@ -402,7 +370,6 @@ def ground_state(grid, ns, potentials, g4, tol=GS_TOL, psi0=None):
         psi /= norm(grid, psi)[:, None, None]
 
     w = np.maximum(ns, 1.0)
-    basis = _kinetic_eigenbasis(grid)
     d, t = None, 1.0
     for it in range(GS_MAX_ITER + 1):
         res, mu, veff = _gpe_residual(grid, psi, ns, potentials, g4)
@@ -412,7 +379,7 @@ def ground_state(grid, ns, potentials, g4, tol=GS_TOL, psi0=None):
         if it == GS_MAX_ITER:
             break
         alpha = mu - inner(grid, psi, veff * psi) + 1.0
-        p_res, p_psi = _precondition(basis, np.stack([res, psi]), alpha)
+        p_res, p_psi = _precondition(grid, np.stack([res, psi]), alpha)
         p_res -= (inner(grid, psi, p_res) / inner(grid, psi, p_psi))[:, None, None] * p_psi
         rp = w @ inner(grid, res, p_res)
         if d is not None:

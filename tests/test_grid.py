@@ -78,7 +78,8 @@ def test_laplacian_batched_matches_single():
 
 def test_grid_arrays_are_read_only():
     g = make_grid()
-    for name in ("r", "z", "weights", "k_r", "k_z"):
+    for name in ("r", "z", "weights", "k_r", "k_z", "sqrt_r", "lam_r", "q_r",
+                 "lam_z", "q_z"):
         with pytest.raises(ValueError):
             getattr(g, name)[0] = 1.0
 
