@@ -192,6 +192,8 @@ def _cmd_scan(cfg, args, out_dir):
                       "steps": point.steps,
                       "norm_drift": point.norm_drift,
                       "unwrap_step": point.unwrap_step,
+                      "reach_max": point.reach_max,
+                      "reach_rms": point.reach_rms,
                       "separation_end": point.separation_end,
                       "ramp_s": point.ramp_s,
                       "moments_s": point.moments_s,
@@ -324,14 +326,16 @@ def _cmd_check(args):
         m = spin_moments(inp)
         r = epr_witness(m)
         assert 0.0 < r.e_epr < 1.5
-        # fast vs brute force on a one-body term
+        # fast vs brute force on a one-body and a two-slot term
         from .correlators import MultiIndex, fock_sum_average
-        t = MultiIndex((1, 0, 0, 0), (0, 1, 0, 0))
-        f = fock_sum_average(inp, t)
-        b = brute_force_average(inp, t)
-        assert abs(f - b) < 1e-9 * max(abs(b), 1.0)
-    check("evolved pipeline: theta antisymmetry, witness, brute force",
-          _pipeline)
+        for t in (MultiIndex((1, 0, 0, 0), (0, 1, 0, 0)),
+                  MultiIndex((1, 0, 0, 0), (0, 1, 0, 0),
+                             gamma_p=(0, 0, 0, 1), delta_p=(0, 0, 1, 0))):
+            f = fock_sum_average(inp, t)
+            b = brute_force_average(inp, t)
+            assert abs(f - b) < 1e-9 * max(abs(b), 1.0), t
+    check("evolved pipeline: theta antisymmetry, witness, brute force "
+          "(one- and two-slot)", _pipeline)
 
     def _oracle():
         C = np.ones(4) / math.sqrt(2)

@@ -7,6 +7,11 @@ a displacement-linear reduced phase), the average of any one- or two-body
 operator collapses to a small window of splitting terms around the mean,
 evaluated here with vectorized slot integrals.
 
+Each slot integral over the window is kept factored, J = A M B^T, with one
+factor per well along the window and a small middle over Chebyshev orders
+and a few exact tail cells; a window sum contracts the factors on those
+orders, and no window-by-window table is ever formed.
+
 The six collective spins are one coefficient table over the ladder pairs
 psi_c^dag psi_a.  Their first and second moments are contractions of that
 table with the distinct one-body and two-slot averages, each evaluated once.
@@ -142,10 +147,18 @@ class CorrelatorInputs:
         return p_a * self.theta_u[0] + p_b * self.theta_u[1]
 
     def displaced_overlap(self, a, p_a, p_b):
-        """<phi_a(N + Delta)|phi_a(N)> for a transfer displacement (p_a, p_b)."""
-        dens = np.abs(self.phibar[a]) ** 2
-        phase = p_a * self.grad[a, 0] + p_b * self.grad[a, 1]
-        return complex(np.sum(self.weights * dens * np.exp(-1j * phase)))
+        """<phi_a(N + Delta)|phi_a(N)> for a transfer displacement (p_a, p_b).
+
+        Kept per (a, p_a, p_b): one set of spin moments asks for a few dozen
+        distinct ones, each an exp over every cell, over a hundred times."""
+        key = ("overlap", a, p_a, p_b)
+        hit = self._cache.get(key)
+        if hit is None:
+            dens = np.abs(self.phibar[a]) ** 2
+            phase = p_a * self.grad[a, 0] + p_b * self.grad[a, 1]
+            hit = self._cache[key] = complex(
+                np.sum(self.weights * dens * np.exp(-1j * phase)))
+        return hit
 
     # -- window machinery ----------------------------------------------------
 
@@ -155,10 +168,16 @@ class CorrelatorInputs:
 
         The window is every N_s0 whose binomial weight exceeds EDGE_TOL times
         the peak, kept where the annihilators act: N_s0 >= dplus_s0 and
-        N_s1 >= dplus_s1."""
+        N_s1 >= dplus_s1.  Kept per (well, d0, d1) and pulse amplitudes,
+        read-only."""
         s = 0 if well == "a" else 2
-        n0, n1 = self.nbar[s], self.nbar[s + 1]
         d0, d1 = dplus[s], dplus[s + 1]
+        key = ("window", well, d0, d1, complex(self.C[s]),
+               complex(self.C[s + 1]))
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        n0, n1 = self.nbar[s], self.nbar[s + 1]
         n = n0 + n1
         p = binomial_weights(n, self.C[s], self.C[s + 1])
         kept = np.flatnonzero(p > EDGE_TOL * p.max())   # unimodal: one run
@@ -168,24 +187,37 @@ class CorrelatorInputs:
         # N_s0 = j (binomial_weights, shared with the four-mode oracle)
         # times the ladder falling factorials N_s0!/(N_s0 - d0)! and
         # N_s1!/(N_s1 - d1)!
-        return j - n0, falling(n - j, d1, falling(j, d0, p[j]))
+        ks, wts = j - n0, falling(n - j, d1, falling(j, d0, p[j]))
+        ks.setflags(write=False)
+        wts.setflags(write=False)
+        self._cache[key] = ks, wts
+        return ks, wts
 
     def _slot_table(self, gs, ds, m_a, m_b, ks_a, ks_b):
-        """Window table of one slot integral.
+        """Window table of one slot integral, as factors (A, M, B) with
+        J = A M B^T; J itself is never built.
 
         J[ia, ib] = sum_x w(x) B(x) exp(i m . Ybar(x))
                     exp(i (k_a[ia] Xt_a(x) + k_b[ib] Xt_b(x)))
         with B = prod conj(phibar)^gs phibar^ds,
         Xt_s = sum_a (ds_a - gs_a) grad[a, s], Ybar_s = sum_a gs_a grad[a, s].
 
-        A density-like slot (gs == ds) has Xt = 0, so every entry is the one
-        number sum_x w B exp(i m . Ybar): it is returned as a zero-stride
-        read-only view of that number.  Otherwise the phase rows of each
-        well factor as exp(i k Xt_s) = A_s T_s (_jacobi_anger), so that
-        J = A_a [T_a diag(w B exp(i m . Ybar)) T_b^T] A_b^T: the sum over
-        cells runs over expansion orders, not over the window.
+        M = (core, tail) is block diagonal, a dense core and a diagonal held
+        as a vector; A's first core.shape[0] columns and B's first
+        core.shape[1] pair with the core, the rest with the tail.
+
+        A density-like slot (gs == ds) has Xt = 0: every entry is the one
+        number sum_x w B exp(i m . Ybar), so A and B are ones columns and
+        the core is that number, 1 x 1.  Otherwise the cells split
+        (_tail_split) into a Chebyshev core and an exact tail.  On the core
+        the phase rows of each well factor as exp(i k Xt_s) = coef_s T_s
+        (_jacobi_anger), so A = [coef_a | E_a], B = [coef_b | E_b] and
+        core = T_a diag(w B exp(i m . Ybar)) T_b^T: the sum over cells runs
+        over expansion orders, not over the window.  Each tail cell is one
+        column E_s = exp(i k Xt_s(x)) of A and B, with that cell's
+        w B exp(i m . Ybar) in the tail.
         """
-        key = (gs, ds, m_a, m_b, ks_a[0], ks_a[-1], ks_b[0], ks_b[-1])
+        key = ("table", gs, ds, m_a, m_b, ks_a[0], ks_a[-1], ks_b[0], ks_b[-1])
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -199,21 +231,83 @@ class CorrelatorInputs:
         ybar_b = sum(gs[a] * self.grad[a, 1] for a in range(4))
         base *= np.exp(1j * (m_a * ybar_a + m_b * ybar_b))
         if gs == ds:
-            table = np.broadcast_to(base.sum(), (ks_a.size, ks_b.size))
+            factors = (np.ones((ks_a.size, 1)),
+                       (np.array([[base.sum()]]), np.zeros(0, complex)),
+                       np.ones((ks_b.size, 1)))
         else:
             xt_a = sum((ds[a] - gs[a]) * self.grad[a, 0] for a in range(4))
             xt_b = sum((ds[a] - gs[a]) * self.grad[a, 1] for a in range(4))
-            coef_a, basis_a = _jacobi_anger(ks_a, xt_a, self._bessel)
-            coef_b, basis_b = _jacobi_anger(ks_b, xt_b, self._bessel)
-            # the real bases take the real and imaginary parts of base
-            # stacked, in one real product
-            parts = basis_a[:, None] * np.stack([base.real, base.imag])
-            mid = (parts.reshape(-1, base.size) @ basis_b.T).reshape(
+            # the split and the outer factors depend on Xt and the windows
+            # only, so the tables of one Xt share them
+            outer_key = ("outer", tuple(np.subtract(ds, gs)), ks_a[0],
+                         ks_a[-1], ks_b[0], ks_b[-1])
+            outer = self._cache.get(outer_key)
+            tail = (outer[0] if outer is not None
+                    else _tail_split(xt_a, xt_b, ks_a, ks_b))
+            core = np.ones(base.size, bool)
+            core[tail] = False
+            coef_a, basis_a = _jacobi_anger(ks_a, xt_a[core], self._bessel)
+            coef_b, basis_b = _jacobi_anger(ks_b, xt_b[core], self._bessel)
+            if outer is None:
+                e_a = np.exp(1j * np.multiply.outer(ks_a, xt_a[tail]))
+                e_b = np.exp(1j * np.multiply.outer(ks_b, xt_b[tail]))
+                outer = self._cache[outer_key] = (
+                    tail, np.hstack([coef_a, e_a]), np.hstack([coef_b, e_b]))
+            # the real bases take the real and imaginary parts of the core's
+            # base stacked, in one real product
+            bc = base[core]
+            parts = basis_a[:, None] * np.stack([bc.real, bc.imag])
+            mid = (parts.reshape(-1, bc.size) @ basis_b.T).reshape(
                 len(basis_a), 2, len(basis_b))
-            table = np.linalg.multi_dot(
-                [coef_a, mid[:, 0] + 1j * mid[:, 1], coef_b.T])
-        self._cache[key] = table
-        return table
+            factors = (outer[1], (mid[:, 0] + 1j * mid[:, 1], base[tail]),
+                       outer[2])
+        self._cache[key] = factors
+        return factors
+
+
+def _reach(ks):
+    """Largest |k| of a window."""
+    return int(max(-ks[0], ks[-1]))
+
+
+def _table_flops(cells, t, n_a, n_b, k_a, k_b):
+    """Estimated flops of one slot table with t of its cells in the exact
+    tail, Chebyshev core orders n_a and n_b (terms per well) and windows of
+    k_a and k_b splittings: building the factors (bases by recurrence, the
+    core's real product, the tail's exp columns) plus contracting the table
+    with itself in one two-slot term (fock_sum_average)."""
+    core = cells - t
+    r_a, r_b = n_a + t, n_b + t
+    build = core * (n_a + n_b) + 4 * core * n_a * n_b + 8 * t * (k_a + k_b)
+    contract = 8 * (k_a * r_a * r_a + k_b * r_b * r_b
+                    + r_a * r_b * (n_a + n_b + 1))
+    return build + contract
+
+
+def _tail_split(xt_a, xt_b, ks_a, ks_b):
+    """Cells of a slot table's exact tail, as sorted indices.
+
+    The cells are ranked by their reach max_s |k_s| |Xt_s - median Xt_s|,
+    the phase that sets the Chebyshev order, and the t of largest reach go
+    to the tail.  t is the least _table_flops over t = 0, 1, 2, 4, ...
+    below the number of cells, the core orders being _bessel_order's of
+    the core's half-ranges.  A few far cells can set the order of the whole
+    table; the tail takes them exactly, for a few columns per cell.
+    """
+    k_a, k_b = _reach(ks_a), _reach(ks_b)
+    reach = np.maximum(k_a * np.abs(xt_a - np.median(xt_a)),
+                       k_b * np.abs(xt_b - np.median(xt_b)))
+    order = np.argsort(-reach, kind="stable")
+    best, t = None, 0
+    while t < order.size:
+        core = order[t:]
+        n_a = _bessel_order(0.5 * k_a * np.ptp(xt_a[core])) + 1
+        n_b = _bessel_order(0.5 * k_b * np.ptp(xt_b[core])) + 1
+        cost = _table_flops(order.size, t, n_a, n_b, ks_a.size, ks_b.size)
+        if best is None or cost < best[0]:
+            best = (cost, t)
+        t = 2 * t if t else 1
+    return np.sort(order[:best[1]])
 
 
 def _bessel_order(z):
@@ -257,16 +351,19 @@ def _bessel_rows(s, kmax):
 def _jacobi_anger(ks, xt, memo):
     """exp(i k xt) for the consecutive integers ks as coef @ basis.
 
-    With s = max|xt| and u = xt / s, the Jacobi-Anger expansion
+    The variable is centred on the midpoint c of xt's range: with the
+    half-range s and u = (xt - c) / s, the Jacobi-Anger expansion
     exp(i k s u) = sum_n eps_n i^n J_n(k s) T_n(u) (eps_0 = 1, else 2)
-    gives coef[j, n] = eps_n i^n J_n(ks[j] s), shape (ks.size, n + 1), and
-    the real basis[n] = T_n(u) by the Chebyshev recurrence, shape
-    (n + 1, xt.size); n is _bessel_order(max|k| s).  The _bessel_rows of
-    each (s, max|k|) are kept in the dict memo: the slots of one well
-    share their Xt up to sign, so a few serve every table.
+    gives coef[j, n] = exp(i ks[j] c) eps_n i^n J_n(ks[j] s), shape
+    (ks.size, n + 1), and the real basis[n] = T_n(u) by the Chebyshev
+    recurrence, shape (n + 1, xt.size); n is _bessel_order(max|k| s), set by
+    the half-range, not by max|xt|.  The _bessel_rows of each (s, max|k|)
+    are kept in the dict memo: the slots of one well share their Xt up to
+    sign, so a few serve every table.
     """
-    s = float(np.abs(xt).max())
-    kmax = int(max(-ks[0], ks[-1]))
+    lo, hi = float(xt.min()), float(xt.max())
+    c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    kmax = _reach(ks)
     rows = memo.get((s, kmax))
     if rows is None:
         rows = memo[s, kmax] = _bessel_rows(s, kmax)
@@ -275,15 +372,33 @@ def _jacobi_anger(ks, xt, memo):
     eps_i[0] = 1.0
     coef = rows[np.abs(ks)] * eps_i
     coef[ks < 0, 1::2] *= -1.0          # J_n(-z) = (-1)^n J_n(z)
+    if c:
+        coef *= np.exp(1j * c * ks)[:, None]
     basis = np.empty((n + 1, xt.size))
     basis[0] = 1.0
     if n:
-        basis[1] = xt / s
+        basis[1] = (xt - c) / s
         twice = 2.0 * basis[1]
         for m in range(1, n):
             np.multiply(twice, basis[m], out=basis[m + 1])
             basis[m + 1] -= basis[m - 1]
     return coef, basis
+
+
+def _times_middle(g, middle):
+    """g M for a factored table's middle M = (core, tail): g's last axis
+    runs over M's rows."""
+    core, tail = middle
+    n = core.shape[0]
+    return np.concatenate([g[..., :n] @ core, g[..., n:] * tail], axis=-1)
+
+
+def _middle_times(middle, g):
+    """M g for a factored table's middle M = (core, tail): g's rows run
+    over M's columns."""
+    core, tail = middle
+    n = core.shape[1]
+    return np.concatenate([core @ g[:n], tail[:, None] * g[n:]])
 
 
 def fock_sum_average(inp, idx):
@@ -293,6 +408,13 @@ def fock_sum_average(inp, idx):
     window, the splitting dependence of the wavefunctions enters only through
     the phase-gradient fields, and the reduced-phase / overlap factors are
     global to the term.
+
+    The window sum contracts the factored slot tables J = A M B^T
+    (_slot_table) on their expansion orders.  A one-slot term is
+    (w_a^T A) M (B^T w_b).  A two-slot term w_a^T (J1 o J2) w_b is
+    sum (M1 G_b) o (G_a M2), with G_a = A1^T diag(w_a) A2 and
+    G_b = B1^T diag(w_b) B2: O(K n^2) for a window of K splittings and
+    n orders, where the product of the tables would cost O(K^2 n).
     """
     if not idx.conserves_wells():
         return 0.0 + 0.0j
@@ -321,13 +443,39 @@ def fock_sum_average(inp, idx):
 
     m_a = dt[0] - gt[0]
     m_b = dt[2] - gt[2]
-    j1 = inp._slot_table(idx.gamma, idx.delta, m_a, m_b, ks_a, ks_b)
+    a1, m1, b1 = inp._slot_table(idx.gamma, idx.delta, m_a, m_b, ks_a, ks_b)
     if idx.two_position:
-        j2 = inp._slot_table(idx.gamma_p, idx.delta_p, m_a, m_b, ks_a, ks_b)
-        core = w_a @ (j1 * j2) @ w_b
+        a2, m2, b2 = inp._slot_table(idx.gamma_p, idx.delta_p, m_a, m_b,
+                                     ks_a, ks_b)
+        g_a = a1.T @ (w_a[:, None] * a2)
+        g_b = b1.T @ (w_b[:, None] * b2)
+        core = np.sum(_middle_times(m1, g_b) * _times_middle(g_a, m2))
     else:
-        core = w_a @ j1 @ w_b
+        core = _times_middle(w_a @ a1, m1) @ (w_b @ b1)
     return complex(glob * core)
+
+
+def linearization_reach(inp):
+    """(reach_max, reach_rms): how far the window's phases k Xt reach over
+    the ladder slots of both wells (a0^dag a1, b0^dag b1) and both transfer
+    axes, with w the half-width of each axis's window.
+
+    reach_max is w max|Xt - c|, c the midpoint of Xt's range: the figure
+    that sets an unsplit slot table's Chebyshev order.  reach_rms is w times
+    the rms of Xt about its mean, both weighted by the slot density
+    |phibar_c phibar_a| weights: the reach over the bulk of the cloud.
+    """
+    half = [_reach(inp._well_ks(well, (0, 0, 0, 0))[0]) for well in "ab"]
+    reach_max = reach_rms = 0.0
+    for c, a in ((0, 1), (2, 3)):
+        dens = np.abs(inp.phibar[c] * inp.phibar[a]) * inp.weights
+        dens /= dens.sum()
+        for s in range(2):
+            xt = inp.grad[a, s] - inp.grad[c, s]
+            dev = xt - dens @ xt
+            reach_max = max(reach_max, 0.5 * half[s] * float(np.ptp(xt)))
+            reach_rms = max(reach_rms, half[s] * math.sqrt(dens @ dev ** 2))
+    return reach_max, reach_rms
 
 
 def brute_force_average(inp, idx):

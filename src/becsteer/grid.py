@@ -74,8 +74,19 @@ class CylGrid:
         return np.pi * (self.n_r * self.dr) ** 2 * (self.n_z * self.dz)
 
     def kinetic(self, f):
-        """K f = k_r f + f k_z^T of a field shaped (..., n_r, n_z)."""
-        return self.k_r @ f + f @ self.k_z.T
+        """K f = k_r f + f k_z^T of a field shaped (..., n_r, n_z).
+
+        A complex field goes through as its real and imaginary parts,
+        stacked, in real products: NumPy would otherwise promote k_r and
+        k_z to complex on every call."""
+        if not np.iscomplexobj(f):
+            return self.k_r @ f + f @ self.k_z.T
+        parts = np.stack([f.real, f.imag])
+        k = self.k_r @ parts
+        k += parts @ self.k_z.T
+        out = np.empty(k.shape[1:], complex)
+        out.real, out.imag = k
+        return out
 
     def kinetic_functions(self, f_r, f_z):
         """(f_r(k_r), f_z(k_z)), dense matrices, for functions f_r and f_z

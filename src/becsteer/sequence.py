@@ -16,7 +16,7 @@ import numpy as np
 from .grid import MIN_POINTS, build_grid, normalized_overlap
 from .meanfield import GS_TOL, ground_state, save_snapshot, stable_dt
 from .fockflow import init_trajectories
-from .correlators import spin_moments, epr_witness
+from .correlators import epr_witness, linearization_reach, spin_moments
 
 SQ2 = math.sqrt(2.0)
 # a length within this relative distance of a whole number of steps counts as
@@ -174,6 +174,9 @@ class PointResult:
     steps: int = 0                # steps taken after its fork
     norm_drift: float = float("nan")   # largest norm drift of its steps
     unwrap_step: float = float("nan")  # largest mean-phase change in a step
+    # how far the window's phases reach (correlators.linearization_reach)
+    reach_max: float = float("nan")
+    reach_rms: float = float("nan")
     # wall times of finish's layers: the steps after the fork, the
     # correlator inputs with the spin moments, the witness with the overlaps
     ramp_s: float = float("nan")
@@ -217,6 +220,7 @@ class HoldFork:
         t1 = time.perf_counter()
         inp = traj.correlator_inputs(cfg.pulse_amplitudes())
         moments = spin_moments(inp)
+        reach_max, reach_rms = linearization_reach(inp)
         t2 = time.perf_counter()
         result = epr_witness(moments)
         result.overlap_a = traj.density_overlap("a")
@@ -227,6 +231,7 @@ class HoldFork:
                             result=result, moments=moments, dt=self.dt,
                             steps=self.steps, norm_drift=traj.norm_drift,
                             unwrap_step=traj.unwrap_step,
+                            reach_max=reach_max, reach_rms=reach_rms,
                             separation_end=well_separation(traj.grid, center),
                             ramp_s=t1 - t0, moments_s=t2 - t1,
                             witness_s=t3 - t2)

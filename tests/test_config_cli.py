@@ -155,6 +155,8 @@ def test_cli_run_writes_results(tmp_path):
     for p in man["points"]:
         assert 0.0 <= p["norm_drift"] < NORM_TOL
         assert 0.0 < p["unwrap_step"] < math.pi / 2
+        # an rms about the mean is at most half the range (Popoviciu)
+        assert 0.0 < p["reach_rms"] <= p["reach_max"]
 
 
 def test_cli_missing_config_is_fatal(tmp_path, capsys):

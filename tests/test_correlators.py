@@ -133,6 +133,14 @@ def direct_slot_table(inp, gs, ds, m_a, m_b, ks_a, ks_b):
     return (ea * base) @ eb.T
 
 
+def rebuilt(factors):
+    """A M B^T of a factored slot table, M = (core, tail) block diagonal."""
+    a, (core, tail), b = factors
+    n_a, n_b = core.shape
+    return (a[:, :n_a] @ core @ b[:, :n_b].T
+            + (a[:, n_a:] * tail) @ b[:, n_b:].T)
+
+
 @pytest.mark.parametrize("gs,ds,m_a,m_b", [
     ((1, 0, 0, 0), (0, 1, 0, 0), 1, 0),
     ((0, 0, 0, 1), (0, 0, 1, 0), 0, -1),
@@ -144,12 +152,88 @@ def test_slot_table_at_production_size(gs, ds, m_a, m_b):
     assert 2 * w + 1 == 507
     # the a window clipped on one side
     ks_a, ks_b = np.arange(-w + 3, w + 1), np.arange(-w, w + 1)
-    table = inp._slot_table(gs, ds, m_a, m_b, ks_a, ks_b)
+    factors = inp._slot_table(gs, ds, m_a, m_b, ks_a, ks_b)
+    table = rebuilt(factors)
     ref = direct_slot_table(inp, gs, ds, m_a, m_b, ks_a, ks_b)
     assert table.shape == ref.shape
     assert np.abs(table - ref).max() <= 1e-12 * np.abs(ref).max()
     if gs == ds:
-        assert table.strides == (0, 0)
+        assert factors[1][0].shape == (1, 1) and factors[1][1].size == 0
+
+
+def outlier_inputs():
+    """production_inputs at a tenth of its gradients, but for 12 cells that
+    keep them: 10 times the bulk's Xt there, 40 rad of reach in the bulk."""
+    inp = production_inputs()
+    keep = np.random.default_rng(1).choice(inp.weights.size, 12, replace=False)
+    inp.grad[:, :, np.setdiff1d(np.arange(inp.weights.size), keep)] *= 0.1
+    return inp
+
+
+def test_outlier_cells_go_to_the_exact_tail():
+    # a few far cells set the order of the whole expansion; the split takes
+    # them exactly and the core's orders drop below the unsplit ones
+    inp = outlier_inputs()
+    w = window_half_width(inp)
+    ks = np.arange(-w, w + 1)
+    gs, ds = (1, 0, 0, 0), (0, 1, 0, 0)
+    xt = inp.grad[1] - inp.grad[0]
+    tail = correlators._tail_split(xt[0], xt[1], ks, ks)
+    assert tail.size > 0
+    factors = inp._slot_table(gs, ds, 1, 0, ks, ks)
+    assert factors[1][1].size == tail.size
+    unsplit = [correlators._bessel_order(0.5 * w * np.ptp(x)) + 1 for x in xt]
+    assert all(n < u for n, u in zip(factors[1][0].shape, unsplit))
+    ref = direct_slot_table(inp, gs, ds, 1, 0, ks, ks)
+    assert np.abs(rebuilt(factors) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("idx", [
+    MultiIndex((1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+    MultiIndex((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+    MultiIndex((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    MultiIndex((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 0))],
+    ids=["aa", "ab", "bb", "a-density"])
+@pytest.mark.parametrize("make", [production_inputs, outlier_inputs],
+                         ids=["smooth", "outliers"])
+def test_two_slot_terms_match_direct_tables(idx, make, monkeypatch):
+    # the factored contraction, with and without an exact tail, against
+    # w_a^T (J1 o J2) w_b of the direct tables; the term's global factor is
+    # read off all-ones tables, whose window sum is sum(w_a) sum(w_b)
+    inp = make()
+    got = fock_sum_average(inp, idx)
+    gt, dt = idx.gamma_tot, idx.delta_tot
+    m_a, m_b = dt[0] - gt[0], dt[2] - gt[2]
+    ks_a, w_a = inp._well_ks("a", dt)
+    ks_b, w_b = inp._well_ks("b", dt)
+    j1 = direct_slot_table(inp, idx.gamma, idx.delta, m_a, m_b, ks_a, ks_b)
+    j2 = direct_slot_table(inp, idx.gamma_p, idx.delta_p, m_a, m_b, ks_a, ks_b)
+    ones = (np.ones((ks_a.size, 1)), (np.ones((1, 1)), np.zeros(0)),
+            np.ones((ks_b.size, 1)))
+    monkeypatch.setattr(inp, "_slot_table", lambda *args: ones)
+    glob = fock_sum_average(inp, idx) / (w_a.sum() * w_b.sum())
+    ref = glob * (w_a @ (j1 * j2) @ w_b)
+    assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_caches_hold_no_window_square():
+    # after a full set of moments the inputs keep only small things: no
+    # cached array has K^2 entries (K = 507, the window) or runs over cells
+    inp = production_inputs()
+    spin_moments(inp)
+    k = 2 * window_half_width(inp) + 1
+
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, tuple):
+            for y in x:
+                yield from arrays(y)
+    cached = [a for v in (*inp._cache.values(), *inp._bessel.values())
+              for a in arrays(v)]
+    assert cached
+    assert all(a.size < k * k and inp.weights.size not in a.shape
+               for a in cached)
 
 
 def expanded_rows(ks, xt):
@@ -192,6 +276,22 @@ def test_jacobi_anger_tail_guard_raises(monkeypatch):
     monkeypatch.setattr(correlators, "_bessel_order", lambda z: int(z) // 2)
     with pytest.raises(TruncationError, match="tail"):
         correlators._jacobi_anger(np.arange(-100, 101), smooth_field(0.5), {})
+
+
+def test_linearization_reach_of_one_ladder_field():
+    # only a1's gradient along well a moves: the a ladder slot's Xt_a is
+    # that field, every other Xt is zero
+    inp = synthetic_inputs(30, 20, seed=2)
+    inp.grad[:] = 0.0
+    f = np.linspace(-0.2, 0.5, inp.weights.size) ** 2
+    inp.grad[1, 0] = f
+    w = window_half_width(inp)
+    dens = np.abs(inp.phibar[0] * inp.phibar[1]) * inp.weights
+    mean = np.average(f, weights=dens)
+    reach_max, reach_rms = correlators.linearization_reach(inp)
+    assert reach_max == pytest.approx(w * (f.max() - f.min()) / 2, rel=1e-14)
+    assert reach_rms == pytest.approx(
+        w * math.sqrt(np.average((f - mean) ** 2, weights=dens)), rel=1e-12)
 
 
 def coherent_inputs(n_a, n_b):

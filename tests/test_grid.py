@@ -1,8 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
+from becsteer.config import load_config
 from becsteer.grid import (CylGrid, GridError, build_grid, inner, integrate,
                            norm)
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_grid():
@@ -74,6 +79,19 @@ def test_laplacian_batched_matches_single():
     for i in range(3):
         for j in range(4):
             assert np.allclose(lap[i, j], g.kinetic(f[i, j]))
+
+
+def test_kinetic_of_complex_stack_matches_complex_product():
+    # the real products on the real and imaginary parts against NumPy's
+    # complex product, on the fig2a grid
+    g = load_config(os.path.join(HERE, "configs", "fig2a.cfg")).protocol().build_grid()
+    assert g.shape == (28, 204)
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=(2,) + g.shape) + 1j * rng.normal(size=(2,) + g.shape)
+    ref = g.k_r.astype(complex) @ f + f @ g.k_z.T.astype(complex)
+    got = g.kinetic(f)
+    assert got.dtype == complex and got.shape == f.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_grid_arrays_are_read_only():
