@@ -16,7 +16,8 @@ instead of 250 s.
 a sweep key (an unset axis keeps its value), else the config's own point.
 Each grid point gets one ground state, solved to `gs_tol` before any point
 runs; every (grid point, hold time) pair is then one point, and `--snapshot`
-writes snapshot_point{i}.txt over all points in row order.
+writes snapshot_point{i}.npz over all points in row order: one `np.savez`
+of the closed central state `psi`, `r`, `z`, `weights`, `fock` and `t`.
 With `with_oracle` each grid point's chi rates are computed here too, once for
 all its hold times: the twisting phases are affine in the hold time.  The
 chi ground states are solved to `gs_tol` as well, here and in `oracle`.
@@ -31,6 +32,7 @@ Exit codes: 0 success, 2 at least one scan point failed, 1 fatal error.
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -164,7 +166,7 @@ def _cmd_scan(cfg, args, out_dir):
                 forks = hold_forks(proto, prep, prefixes=grid_prefixes)
             row_jobs = [None] * len(proto.t_int)
             for k, fork in forks:
-                name = f"snapshot_point{len(jobs) + k}.txt"
+                name = f"snapshot_point{len(jobs) + k}.npz"
                 snap = os.path.join(out_dir, name) if args.snapshot else None
                 payload = (fork, rates, snap)
                 row_jobs[k] = (pool.submit(_point_job, payload) if pool
@@ -291,7 +293,8 @@ def _cmd_check(args):
     from .grid import build_grid, inner
     from .meanfield import PhysicalParams, gpe_residual
     from .fockflow import init_trajectories
-    from .correlators import spin_moments, epr_witness, brute_force_average
+    from .correlators import (MultiIndex, _tail_split, brute_force_average,
+                              epr_witness, fock_sum_average, spin_moments)
     from .oracle4mode import pulse_state, evolve_exact, oracle_moments
 
     par = PhysicalParams()
@@ -309,6 +312,8 @@ def _cmd_check(args):
 
     V = 0.5 * (grid.r[:, None] ** 2 + grid.z[None, :] ** 2) * np.ones((4, 1, 1))
     gs = {}
+    two_slot = MultiIndex((1, 0, 0, 0), (0, 1, 0, 0),
+                          gamma_p=(0, 0, 0, 1), delta_p=(0, 0, 1, 0))
 
     def _ground():
         ns = np.array([10., 10., 10., 10.])
@@ -322,20 +327,31 @@ def _cmd_check(args):
         traj.run(lambda t: V, 0.01, 40)
         assert abs(traj.theta(1, 1) + traj.theta(-1, -1)) < 1e-14
         assert traj.theta(0, 0) == 0.0
-        inp = traj.correlator_inputs(C)
+        inp = gs["inp"] = traj.correlator_inputs(C)
         m = spin_moments(inp)
         r = epr_witness(m)
         assert 0.0 < r.e_epr < 1.5
         # fast vs brute force on a one-body and a two-slot term
-        from .correlators import MultiIndex, fock_sum_average
-        for t in (MultiIndex((1, 0, 0, 0), (0, 1, 0, 0)),
-                  MultiIndex((1, 0, 0, 0), (0, 1, 0, 0),
-                             gamma_p=(0, 0, 0, 1), delta_p=(0, 0, 1, 0))):
+        for t in (MultiIndex((1, 0, 0, 0), (0, 1, 0, 0)), two_slot):
             f = fock_sum_average(inp, t)
             b = brute_force_average(inp, t)
             assert abs(f - b) < 1e-9 * max(abs(b), 1.0), t
     check("evolved pipeline: theta antisymmetry, witness, brute force "
           "(one- and two-slot)", _pipeline)
+
+    def _tail():
+        # three far cells, their gradients 30 times the evolved ones, put a
+        # cell of the a ladder slot's table in its exact tail
+        grad = gs["inp"].grad.copy()
+        grad[:, :, [5, 80, 150]] *= 30.0
+        inp = dataclasses.replace(gs["inp"], grad=grad)
+        xt = inp.grad[1] - inp.grad[0]
+        ks = [inp._well_ks(well, two_slot.delta_tot)[0] for well in "ab"]
+        assert _tail_split(xt[0], xt[1], *ks).size > 0, "no exact tail"
+        f = fock_sum_average(inp, two_slot)
+        b = brute_force_average(inp, two_slot)
+        assert abs(f - b) < 1e-9 * max(abs(b), 1.0), f"fast {f}, brute {b}"
+    check("slot table with an exact tail: brute force (two-slot)", _tail)
 
     def _oracle():
         C = np.ones(4) / math.sqrt(2)

@@ -109,7 +109,7 @@ class MultiIndex:
         return (g[0] + g[1] == d[0] + d[1]) and (g[2] + g[3] == d[2] + d[3])
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelatorInputs:
     """Flattened snapshot of the fields needed to evaluate averages.
 
@@ -120,6 +120,10 @@ class CorrelatorInputs:
     theta_u : (2,) reduced phase per unit transfer along each well
     nbar    : central Fock configuration
     C       : (4,) pulse amplitudes of the four components
+
+    Immutable: the arrays are read-only copies, so what `_cache` keeps
+    (overlaps, windows, slot tables, Bessel rows) never goes stale.  Build
+    the final fields first, or derive new inputs with dataclasses.replace.
     """
 
     weights: np.ndarray
@@ -129,9 +133,12 @@ class CorrelatorInputs:
     nbar: FockVector
     C: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, init=False)
-    _bessel: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
+        for name in ("weights", "phibar", "grad", "theta_u", "C"):
+            a = np.array(getattr(self, name))
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         if np.any(np.abs(self.C) < 1e-300):
             raise ValueError("pulse amplitudes must all be nonzero")
 
@@ -246,8 +253,8 @@ class CorrelatorInputs:
                     else _tail_split(xt_a, xt_b, ks_a, ks_b))
             core = np.ones(base.size, bool)
             core[tail] = False
-            coef_a, basis_a = _jacobi_anger(ks_a, xt_a[core], self._bessel)
-            coef_b, basis_b = _jacobi_anger(ks_b, xt_b[core], self._bessel)
+            coef_a, basis_a = _jacobi_anger(ks_a, xt_a[core], self._cache)
+            coef_b, basis_b = _jacobi_anger(ks_b, xt_b[core], self._cache)
             if outer is None:
                 e_a = np.exp(1j * np.multiply.outer(ks_a, xt_a[tail]))
                 e_b = np.exp(1j * np.multiply.outer(ks_b, xt_b[tail]))
@@ -358,15 +365,15 @@ def _jacobi_anger(ks, xt, memo):
     (ks.size, n + 1), and the real basis[n] = T_n(u) by the Chebyshev
     recurrence, shape (n + 1, xt.size); n is _bessel_order(max|k| s), set by
     the half-range, not by max|xt|.  The _bessel_rows of each (s, max|k|)
-    are kept in the dict memo: the slots of one well share their Xt up to
-    sign, so a few serve every table.
+    are kept in the dict memo, under ("bessel", s, max|k|): the slots of one
+    well share their Xt up to sign, so a few serve every table.
     """
     lo, hi = float(xt.min()), float(xt.max())
     c, s = 0.5 * (lo + hi), 0.5 * (hi - lo)
     kmax = _reach(ks)
-    rows = memo.get((s, kmax))
+    rows = memo.get(("bessel", s, kmax))
     if rows is None:
-        rows = memo[s, kmax] = _bessel_rows(s, kmax)
+        rows = memo["bessel", s, kmax] = _bessel_rows(s, kmax)
     n = rows.shape[1] - 1
     eps_i = np.array([2, 2j, -2, -2j])[np.arange(n + 1) % 4]
     eps_i[0] = 1.0

@@ -208,7 +208,7 @@ class TrajectorySet:
         m = self.grid.n_r * self.grid.n_z
         return CorrelatorInputs(
             weights=self.grid.weights.reshape(m),
-            phibar=psi[self.CENTER].reshape(4, m).copy(),
+            phibar=psi[self.CENTER].reshape(4, m),
             grad=grads.reshape(4, 2, m),
             theta_u=np.array([self.theta(1, 0), self.theta(0, 1)]),
             nbar=self.nbar,

@@ -17,61 +17,72 @@ class GridError(ValueError):
     pass
 
 
+class Axis:
+    """One axis of the grid: its points x, its quadrature weights w, the
+    kinetic matrix k along it, and k's eigenpairs in a diagonal similarity s.
+    lam, q are the eigenpairs of the symmetric diag(s) k diag(s)^-1, so
+    k = diag(s)^-1 q diag(lam) q^T diag(s); k is self-adjoint under w.
+
+    Immutable after construction: every array is read-only.
+    """
+
+    def __init__(self, x, w, k, s):
+        self.x, self.w, self.k, self.s = x, w, k, s
+        self.lam, self.q = np.linalg.eigh(s[:, None] * k / s)
+        for a in (x, w, k, s, self.lam, self.q):
+            a.setflags(write=False)
+
+    def function(self, f):
+        """f(k), a dense matrix, for f applied elementwise to the eigenvalues."""
+        return (self.q / self.s[:, None] * f(self.lam)) @ (self.q.T * self.s)
+
+
+def radial_stencil(n, dr):
+    """The conservative radial form -(1/2r) d/dr (r d/dr) on the half-offset
+    points r_i = (i + 1/2) dr, with fluxes at half points: the flux through
+    r = 0 vanishes identically and the outer edge r = n dr is a hard zero
+    (Dirichlet).  The weights are 2 pi r dr, and s = sqrt(r)."""
+    r = (np.arange(n) + 0.5) * dr
+    r_lo = r - 0.5 * dr   # r_{i-1/2}, r_lo[0] = 0
+    r_hi = r + 0.5 * dr
+    k = -0.5 * ((np.diag(r_lo[1:], -1) - np.diag(r_lo + r_hi) + np.diag(r_hi[:-1], 1))
+                / (r * dr**2)[:, None])
+    return Axis(r, 2.0 * np.pi * r * dr, k, np.sqrt(r))
+
+
+def axial_stencil(n, dz, z_min):
+    """The 3-point -(1/2) d^2/dz^2 on z_j = z_min + j dz, Dirichlet at both
+    ends.  The weights are dz, and k is symmetric: s is ones."""
+    k = -0.5 * ((np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1)) / dz**2)
+    return Axis(z_min + np.arange(n) * dz, np.full(n, dz), k, np.ones(n))
+
+
 class CylGrid:
-    """Cylindrical (r, z) lattice with volume weights and the kinetic
-    operator K = -Laplacian/2, one dense matrix per axis.
+    """Cylindrical (r, z) lattice, the product of a radial and an axial
+    `Axis`: volume weights w_ij = w_r[i] w_z[j] and the kinetic operator
+    K = -Laplacian/2 = k_r + k_z, one dense matrix per axis, Hermitian under
+    the weights.
 
-    k_r is the conservative radial form -(1/2r) d/dr (r d/dr), with fluxes
-    at half points: the flux through r = 0 vanishes identically and the
-    outer edge r = n_r dr is a hard zero (Dirichlet).  k_z is the 3-point
-    -(1/2) d^2/dz^2, Dirichlet at both ends.  k_r is symmetric under the
-    weights r, k_z symmetric, so K is Hermitian under the grid weights.
+    Only the grid reads the axes' eigenpairs and similarities: the
+    propagators (`kinetic_functions`) and the ground state's preconditioner
+    (`precondition`) are functions of K in that eigenbasis.
 
-    Each axis is diagonalized once: lam_r, q_r are the eigenpairs of the
-    symmetric diag(sqrt_r) k_r diag(sqrt_r)^-1, with sqrt_r = sqrt(r) as a
-    column, and lam_z, q_z those of k_z.  The propagators
-    (`kinetic_functions`) and the ground state's preconditioner read them.
-
-    Immutable after construction: r, z, weights, k_r, k_z and the eigenpairs
-    are read-only arrays, and all operations on fields are pure functions,
+    Immutable after construction: r, z, weights, k_r, k_z and the axes'
+    arrays are read-only, and all operations on fields are pure functions,
     safe to call concurrently.
     """
 
-    def __init__(self, n_r, n_z, dr, dz, z_min):
-        if n_r < MIN_POINTS or n_z < MIN_POINTS:
-            raise GridError(f"grid counts must be >= {MIN_POINTS}, got n_r={n_r}, n_z={n_z}")
-        if dr <= 0 or dz <= 0:
-            raise GridError(f"grid steps must be positive, got dr={dr}, dz={dz}")
-        self.n_r = int(n_r)
-        self.n_z = int(n_z)
-        self.dr = float(dr)
-        self.dz = float(dz)
-        self.z_min = float(z_min)
-
-        self.r = (np.arange(self.n_r) + 0.5) * self.dr
-        self.z = self.z_min + np.arange(self.n_z) * self.dz
-        self.weights = 2.0 * np.pi * self.r[:, None] * self.dr * self.dz * np.ones(self.n_z)[None, :]
-
-        r_lo = self.r - 0.5 * self.dr   # r_{i-1/2}, r_lo[0] = 0
-        r_hi = self.r + 0.5 * self.dr
-        self.k_r = -0.5 * ((np.diag(r_lo[1:], -1) - np.diag(r_lo + r_hi) + np.diag(r_hi[:-1], 1))
-                           / (self.r * self.dr**2)[:, None])
-        self.k_z = -0.5 * ((np.eye(self.n_z, k=-1) - 2.0 * np.eye(self.n_z) + np.eye(self.n_z, k=1))
-                           / self.dz**2)
-        self.sqrt_r = np.sqrt(self.r)[:, None]
-        self.lam_r, self.q_r = np.linalg.eigh(self.sqrt_r * self.k_r / self.sqrt_r.T)
-        self.lam_z, self.q_z = np.linalg.eigh(self.k_z)
-        for a in (self.r, self.z, self.weights, self.k_r, self.k_z, self.sqrt_r,
-                  self.lam_r, self.q_r, self.lam_z, self.q_z):
-            a.setflags(write=False)
+    def __init__(self, radial, axial):
+        self.axes = (radial, axial)
+        self.r, self.z = radial.x, axial.x
+        self.k_r, self.k_z = radial.k, axial.k
+        self.n_r, self.n_z = self.r.size, self.z.size
+        self.weights = radial.w[:, None] * axial.w
+        self.weights.setflags(write=False)
 
     @property
     def shape(self):
         return (self.n_r, self.n_z)
-
-    @property
-    def volume(self):
-        return np.pi * (self.n_r * self.dr) ** 2 * (self.n_z * self.dz)
 
     def kinetic(self, f):
         """K f = k_r f + f k_z^T of a field shaped (..., n_r, n_z).
@@ -91,12 +102,29 @@ class CylGrid:
     def kinetic_functions(self, f_r, f_z):
         """(f_r(k_r), f_z(k_z)), dense matrices, for functions f_r and f_z
         applied elementwise to each axis's eigenvalues."""
-        f_k_r = (self.q_r / self.sqrt_r * f_r(self.lam_r)) @ (self.q_r.T * self.sqrt_r.T)
-        return f_k_r, (self.q_z * f_z(self.lam_z)) @ self.q_z.T
+        radial, axial = self.axes
+        return radial.function(f_r), axial.function(f_z)
+
+    def precondition(self, f, alpha):
+        """(K + alpha_a)^-1 f_a in the eigenbasis of K, for fields f
+        (..., n_comp, n_r, n_z) and shifts alpha (n_comp).  The axial
+        products run as one matrix product over every row of f."""
+        radial, axial = self.axes
+        s = radial.s[:, None] * axial.s
+        lam = radial.lam[:, None] + axial.lam
+        c = ((s * f).reshape(-1, self.n_z) @ axial.q).reshape(f.shape)
+        c = radial.q.T @ c / (lam + alpha[:, None, None])
+        c = ((radial.q @ c).reshape(-1, self.n_z) @ axial.q.T).reshape(f.shape)
+        return c / s
 
 
 def build_grid(n_r, n_z, dr, dz, z_min):
-    return CylGrid(n_r, n_z, dr, dz, z_min)
+    if n_r < MIN_POINTS or n_z < MIN_POINTS:
+        raise GridError(f"grid counts must be >= {MIN_POINTS}, got n_r={n_r}, n_z={n_z}")
+    if dr <= 0 or dz <= 0:
+        raise GridError(f"grid steps must be positive, got dr={dr}, dz={dz}")
+    return CylGrid(radial_stencil(int(n_r), float(dr)),
+                   axial_stencil(int(n_z), float(dz), float(z_min)))
 
 
 def integrate(grid, f):

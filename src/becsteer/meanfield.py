@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import CylGrid, integrate, inner, norm
+from .grid import integrate, inner, norm
 
 BOHR_RADIUS = 5.2918e-11        # m
 HBAR = 1.054571817e-34          # J s
@@ -314,18 +314,6 @@ def gpe_residual(grid, psi, ns, potentials, g4):
     return norm(grid, _gpe_residual(grid, psi, ns, potentials, g4)[0])
 
 
-def _precondition(grid, f, alpha):
-    """(K + alpha_a)^-1 f_a in the eigenbasis of the grid's K, for fields f
-    (..., n_comp, n_r, n_z) and shifts alpha (n_comp).  The axial products
-    run as one matrix product over every row of f."""
-    s, n_z = grid.sqrt_r, f.shape[-1]
-    k = grid.lam_r[:, None] + grid.lam_z[None, :]
-    c = ((s * f).reshape(-1, n_z) @ grid.q_z).reshape(f.shape)
-    c = grid.q_r.T @ c / (k + alpha[:, None, None])
-    c = ((grid.q_r @ c).reshape(-1, n_z) @ grid.q_z.T).reshape(f.shape)
-    return c / s
-
-
 def ground_state(grid, ns, potentials, g4, tol=GS_TOL, psi0=None):
     """Coupled ground state by preconditioned nonlinear conjugate gradient.
 
@@ -379,7 +367,7 @@ def ground_state(grid, ns, potentials, g4, tol=GS_TOL, psi0=None):
         if it == GS_MAX_ITER:
             break
         alpha = mu - inner(grid, psi, veff * psi) + 1.0
-        p_res, p_psi = _precondition(grid, np.stack([res, psi]), alpha)
+        p_res, p_psi = grid.precondition(np.stack([res, psi]), alpha)
         p_res -= (inner(grid, psi, p_res) / inner(grid, psi, p_psi))[:, None, None] * p_psi
         rp = w @ inner(grid, res, p_res)
         if d is not None:
@@ -410,48 +398,3 @@ def ground_state(grid, ns, potentials, g4, tol=GS_TOL, psi0=None):
     raise ConvergenceError(
         f"ground state not converged after {GS_MAX_ITER} iterations, "
         f"residual {resn.max():.3e}")
-
-
-# ---------------------------------------------------------------------------
-# wavefunction snapshot files (versioned textual format)
-
-SNAPSHOT_VERSION = 1
-
-
-def save_snapshot(path, grid, psi, fock, t):
-    """Write components as a textual (comp, i, j, Re, Im) table with a header."""
-    with open(path, "w") as fh:
-        fh.write(f"# becsteer-snapshot v{SNAPSHOT_VERSION}\n")
-        fh.write(f"# grid n_r={grid.n_r} n_z={grid.n_z} dr={grid.dr!r} "
-                 f"dz={grid.dz!r} z_min={grid.z_min!r}\n")
-        fh.write(f"# fock {fock.n_a0} {fock.n_a1} {fock.n_b0} {fock.n_b1}\n")
-        fh.write(f"# t {t!r}\n")
-        fh.write("# columns: component i j re im\n")
-        for a in range(4):
-            for i in range(grid.n_r):
-                for j in range(grid.n_z):
-                    v = complex(psi[a, i, j])
-                    fh.write(f"{a} {i} {j} {v.real!r} {v.imag!r}\n")
-
-
-def load_snapshot(path):
-    """Read a snapshot written by save_snapshot; returns (grid, psi, fock, t)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# becsteer-snapshot v"):
-            raise ValueError("not a becsteer snapshot file")
-        version = int(header.rsplit("v", 1)[1])
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        gline = fh.readline().split()
-        kv = dict(tok.split("=") for tok in gline[2:])
-        grid = CylGrid(int(kv["n_r"]), int(kv["n_z"]), float(kv["dr"]),
-                       float(kv["dz"]), float(kv["z_min"]))
-        fock = FockVector(*[int(x) for x in fh.readline().split()[2:]])
-        t = float(fh.readline().split()[2])
-        fh.readline()
-        psi = np.zeros((4,) + grid.shape, dtype=complex)
-        for line in fh:
-            a, i, j, re, im = line.split()
-            psi[int(a), int(i), int(j)] = float(re) + 1j * float(im)
-    return grid, psi, fock, t

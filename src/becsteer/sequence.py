@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MIN_POINTS, build_grid, normalized_overlap
-from .meanfield import GS_TOL, ground_state, save_snapshot, stable_dt
+from .meanfield import GS_TOL, ground_state, stable_dt
 from .fockflow import init_trajectories
 from .correlators import epr_witness, linearization_reach, spin_moments
 
@@ -207,7 +207,9 @@ class HoldFork:
     error: Exception = None
 
     def finish(self, snapshot_path=None):
-        """Run the rest of the point once and measure; raises its fault."""
+        """Run the rest of the point once and measure; raises its fault.
+        With snapshot_path, np.savez the closed central state there (see
+        the cli module)."""
         if self.error is not None:
             raise self.error
         cfg, traj, t_int = self.cfg, self.traj, self.t_int
@@ -236,7 +238,8 @@ class HoldFork:
                             ramp_s=t1 - t0, moments_s=t2 - t1,
                             witness_s=t3 - t2)
         if snapshot_path:
-            save_snapshot(snapshot_path, traj.grid, center, traj.nbar, traj.t)
+            np.savez(snapshot_path, psi=center, r=traj.grid.r, z=traj.grid.z,
+                     weights=traj.grid.weights, fock=traj.nbar, t=traj.t)
         return point
 
 

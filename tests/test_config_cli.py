@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import becsteer
@@ -485,8 +486,11 @@ def test_cli_sweep_is_run_over_grid(tmp_path, monkeypatch):
     sweep_lines = (sweep_out / "results.csv").read_text().splitlines()
     assert [l.split(",", 4)[4] for l in sweep_lines] == run_lines
     for i in (0, 1):
-        name = f"snapshot_point{i}.txt"
-        assert (sweep_out / name).read_bytes() == (run_out / name).read_bytes()
+        # .npz bytes carry zip timestamps: compare the arrays
+        name = f"snapshot_point{i}.npz"
+        with np.load(sweep_out / name) as a, np.load(run_out / name) as b:
+            assert a.files == b.files
+            assert all(np.array_equal(a[k], b[k]) for k in a.files)
     man = json.loads((sweep_out / "manifest.json").read_text())
     assert set(man["timings_s"]) == {"prepare", "total"}
 
@@ -516,4 +520,18 @@ def test_cli_import_loads_no_scipy():
 def test_cli_check(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4 and "FAIL" not in out
+    assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_cli_check_covers_the_exact_tail(capsys, monkeypatch):
+    # with the tail block of a two-slot contraction dropped, the check's
+    # brute-force comparison on a table with an exact tail fails
+    def tailless(middle, g):
+        core, tail = middle
+        return np.concatenate([core @ g[:core.shape[1]],
+                               np.zeros((tail.size,) + g.shape[1:], g.dtype)])
+    monkeypatch.setattr(correlators, "_middle_times", tailless)
+    assert main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 1
+    assert "FAIL: slot table with an exact tail" in out

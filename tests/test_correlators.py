@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ def production_inputs():
                            nbar=central_fock(4000, 4000),
                            C=np.full(4, 1.0 / math.sqrt(2.0)))
     xt = np.stack([grad[1] - grad[0], grad[2] - grad[3]])
-    inp.grad *= 400.0 / (window_half_width(inp) * np.abs(xt).max())
-    return inp
+    return replace(inp, grad=grad * (400.0 / (window_half_width(inp)
+                                              * np.abs(xt).max())))
 
 
 def direct_slot_table(inp, gs, ds, m_a, m_b, ks_a, ks_b):
@@ -166,8 +167,9 @@ def outlier_inputs():
     keep them: 10 times the bulk's Xt there, 40 rad of reach in the bulk."""
     inp = production_inputs()
     keep = np.random.default_rng(1).choice(inp.weights.size, 12, replace=False)
-    inp.grad[:, :, np.setdiff1d(np.arange(inp.weights.size), keep)] *= 0.1
-    return inp
+    grad = inp.grad.copy()
+    grad[:, :, np.setdiff1d(np.arange(inp.weights.size), keep)] *= 0.1
+    return replace(inp, grad=grad)
 
 
 def test_outlier_cells_go_to_the_exact_tail():
@@ -210,7 +212,7 @@ def test_two_slot_terms_match_direct_tables(idx, make, monkeypatch):
     j2 = direct_slot_table(inp, idx.gamma_p, idx.delta_p, m_a, m_b, ks_a, ks_b)
     ones = (np.ones((ks_a.size, 1)), (np.ones((1, 1)), np.zeros(0)),
             np.ones((ks_b.size, 1)))
-    monkeypatch.setattr(inp, "_slot_table", lambda *args: ones)
+    monkeypatch.setattr(CorrelatorInputs, "_slot_table", lambda *args: ones)
     glob = fock_sum_average(inp, idx) / (w_a.sum() * w_b.sum())
     ref = glob * (w_a @ (j1 * j2) @ w_b)
     assert abs(got - ref) <= 1e-12 * abs(ref)
@@ -229,8 +231,7 @@ def test_caches_hold_no_window_square():
         elif isinstance(x, tuple):
             for y in x:
                 yield from arrays(y)
-    cached = [a for v in (*inp._cache.values(), *inp._bessel.values())
-              for a in arrays(v)]
+    cached = [a for v in inp._cache.values() for a in arrays(v)]
     assert cached
     assert all(a.size < k * k and inp.weights.size not in a.shape
                for a in cached)
@@ -282,9 +283,10 @@ def test_linearization_reach_of_one_ladder_field():
     # only a1's gradient along well a moves: the a ladder slot's Xt_a is
     # that field, every other Xt is zero
     inp = synthetic_inputs(30, 20, seed=2)
-    inp.grad[:] = 0.0
     f = np.linspace(-0.2, 0.5, inp.weights.size) ** 2
-    inp.grad[1, 0] = f
+    grad = np.zeros_like(inp.grad)
+    grad[1, 0] = f
+    inp = replace(inp, grad=grad)
     w = window_half_width(inp)
     dens = np.abs(inp.phibar[0] * inp.phibar[1]) * inp.weights
     mean = np.average(f, weights=dens)
@@ -294,13 +296,11 @@ def test_linearization_reach_of_one_ladder_field():
         w * math.sqrt(np.average((f - mean) ** 2, weights=dens)), rel=1e-12)
 
 
-def coherent_inputs(n_a, n_b):
+def coherent_inputs(n_a, n_b, C=None):
     """Identical orbitals, zero gradients and theta: coherent spin states."""
-    inp = synthetic_inputs(n_a, n_b, grad_scale=0.0, theta=(0.0, 0.0))
-    inp.grad[:] = 0.0
-    inp.phibar[1] = inp.phibar[0]
-    inp.phibar[3] = inp.phibar[2]
-    return inp
+    inp = synthetic_inputs(n_a, n_b, grad_scale=0.0, C=C, theta=(0.0, 0.0))
+    phibar = inp.phibar[[0, 0, 2, 2]]
+    return replace(inp, grad=np.zeros_like(inp.grad), phibar=phibar)
 
 
 def test_coherent_state_moments_at_t0():
@@ -323,8 +323,7 @@ def test_spin_moments_match_four_mode_model(n_a, n_b, C):
     # on coherent inputs the windowed Fock sum and the four-mode model's
     # one-well sums are two evaluators of the same averages: each term that
     # spin_moments reads, and then the moments, agree
-    inp = coherent_inputs(n_a, n_b)
-    inp.C = np.asarray(C, complex)
+    inp = coherent_inputs(n_a, n_b, C)
     st = pulse_state(n_a, n_b, C)
     terms = []
 
@@ -344,12 +343,30 @@ def test_skewed_pulse_window_follows_the_distribution():
     # |c0| = 0.8 puts the binomial peak at N_s0 = 2560, 18 standard
     # deviations from the even split N_s0 = 2000 that the offsets k count from
     C = [0.8, 0.6, 0.8, 0.6]
-    inp = coherent_inputs(4000, 4000)
-    inp.C = np.asarray(C, complex)
+    inp = coherent_inputs(4000, 4000, C)
     m = spin_moments(inp)
     ref = oracle_moments(pulse_state(4000, 4000, C))
     assert np.abs(m.mean - ref.mean).max() <= 1e-14 * np.abs(ref.mean).max()
     assert np.abs(m.second - ref.second).max() <= 1e-14 * np.abs(ref.second).max()
+
+
+def test_inputs_are_frozen():
+    # the inputs keep their windows, overlaps and slot tables: a write after
+    # construction raises, and a caller's array is copied, not shared, so
+    # no later spin_moments reads a stale table
+    inp = synthetic_inputs(6, 6)
+    spin_moments(inp)
+    with pytest.raises(ValueError):
+        inp.grad *= 2.0
+    for name in ("weights", "phibar", "grad", "theta_u", "C"):
+        with pytest.raises(ValueError):
+            getattr(inp, name)[...] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        inp.C = np.ones(4, complex)
+    grad = inp.grad.copy()
+    doubled = replace(inp, grad=grad)
+    grad *= 2.0
+    assert np.array_equal(doubled.grad, inp.grad)
 
 
 def test_spin_moments_evaluate_each_term_once():
@@ -413,7 +430,7 @@ def test_window_weights_exact_at_production_size(dplus):
 def test_pulse_amplitude_enters_one_body_mean():
     C = np.array([0.8, 0.6, 1 / math.sqrt(2), 1 / math.sqrt(2)])
     inp = synthetic_inputs(30, 30, grad_scale=0.0, theta=(0.0, 0.0), C=C)
-    inp.grad[:] = 0.0
+    inp = replace(inp, grad=np.zeros_like(inp.grad))
     val = fock_sum_average(inp, ONE_BODY)
     # <a0^dag a1> = N C0* C1 <phi_a0|phi_a1>
     ov = np.sum(inp.weights * np.conj(inp.phibar[0]) * inp.phibar[1])

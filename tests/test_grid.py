@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from becsteer.config import load_config
-from becsteer.grid import (CylGrid, GridError, build_grid, inner, integrate,
-                           norm)
+from becsteer.grid import (GridError, axial_stencil, build_grid, inner,
+                           integrate, norm, radial_stencil)
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_grid():
     return build_grid(16, 24, 0.25, 0.3, -3.6)
+
+
+# the volume of make_grid's cylinder, pi (n_r dr)^2 n_z dz
+VOLUME = np.pi * (16 * 0.25) ** 2 * (24 * 0.3)
 
 
 def test_grid_validation():
@@ -33,13 +37,13 @@ def test_radial_points_half_offset():
 
 def test_weights_sum_to_cylinder_volume():
     g = make_grid()
-    assert np.isclose(g.weights.sum(), g.volume, rtol=1e-13)
+    assert np.isclose(g.weights.sum(), VOLUME, rtol=1e-13)
 
 
 def test_integrate_constant():
     g = make_grid()
     f = np.ones(g.shape)
-    assert np.isclose(integrate(g, f), g.volume)
+    assert np.isclose(integrate(g, f), VOLUME)
 
 
 def test_gaussian_norm():
@@ -96,10 +100,31 @@ def test_kinetic_of_complex_stack_matches_complex_product():
 
 def test_grid_arrays_are_read_only():
     g = make_grid()
-    for name in ("r", "z", "weights", "k_r", "k_z", "sqrt_r", "lam_r", "q_r",
-                 "lam_z", "q_z"):
+    arrays = [getattr(g, name) for name in ("r", "z", "weights", "k_r", "k_z")]
+    arrays += [getattr(ax, name) for ax in g.axes
+               for name in ("x", "w", "k", "s", "lam", "q")]
+    for a in arrays:
         with pytest.raises(ValueError):
-            getattr(g, name)[0] = 1.0
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize("stencil", ["radial", "axial"])
+@pytest.mark.parametrize("name", ["fig2a", "fig3"])
+def test_axis_contract(name, stencil):
+    # what the grid reads of an axis: diag(s) k diag(s)^-1 is symmetric and
+    # q diag(lam) q^T, with q orthogonal, and k is self-adjoint under the
+    # axis's weights
+    proto = load_config(os.path.join(HERE, "configs", f"{name}.cfg")).protocol()
+    g = proto.build_grid()
+    ax = (radial_stencil(g.n_r, proto.dr) if stencil == "radial"
+          else axial_stencil(g.n_z, proto.dz, g.z[0]))
+    sym = ax.s[:, None] * ax.k / ax.s
+    scale = np.abs(ax.lam).max()
+    assert np.abs(sym - sym.T).max() <= 1e-15 * scale
+    assert np.abs((ax.q * ax.lam) @ ax.q.T - sym).max() <= 1e-14 * scale
+    assert np.abs(ax.q.T @ ax.q - np.eye(ax.x.size)).max() <= 1e-14
+    wk = ax.w[:, None] * ax.k
+    assert np.abs(wk - wk.T).max() <= 1e-15 * np.abs(wk).max()
 
 
 def test_norm_and_inner_consistency():

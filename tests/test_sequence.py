@@ -233,21 +233,39 @@ def test_finish_closes_the_state_once(prep, monkeypatch, tmp_path):
         closes.append(frac == -0.5)
         return real(self, psi, ns, v, frac)
     monkeypatch.setattr(SplitStepEvolver, "phase", counted)
-    point = fork.finish(str(tmp_path / "snap.txt"))
+    point = fork.finish(str(tmp_path / "snap.npz"))
     assert point.error is None and point.steps > 0
     assert sum(closes) == 1
 
 
-def test_snapshot_written(prep, tmp_path):
+def assert_snapshot(path, traj):
+    """The .npz at path holds exactly the closed central state, the grid's
+    points and weights, the central Fock vector and the time of traj."""
+    grid = traj.grid
+    with np.load(path) as snap:
+        assert sorted(snap.files) == ["fock", "psi", "r", "t", "weights", "z"]
+        want = {"psi": traj.psi[traj.CENTER], "r": grid.r, "z": grid.z,
+                "weights": grid.weights, "fock": np.array(traj.nbar),
+                "t": np.array(traj.t)}
+        for key, value in want.items():
+            assert snap[key].dtype == value.dtype, key
+            assert np.array_equal(snap[key], value), key
+
+
+def test_snapshot_roundtrip(prep, tmp_path):
     cfg, pr = prep
-    path = tmp_path / "snap.txt"
     ((_, fork),) = hold_forks(cfg, pr)
-    fork.finish(str(path))
-    assert path.exists()
-    from becsteer.meanfield import load_snapshot
-    grid2, psi2, ns2, t2 = load_snapshot(str(path))
-    assert psi2.shape == (4,) + grid2.shape
-    assert t2 == pytest.approx(2 * cfg.t_ramp)
+    fork.finish(str(tmp_path / "snap.npz"))
+    assert_snapshot(tmp_path / "snap.npz", fork.traj)
+
+
+def test_snapshot_written(prep, tmp_path):
+    # np.savez appends .npz to a path that lacks it
+    cfg, pr = prep
+    ((_, fork),) = hold_forks(cfg, pr)
+    fork.finish(str(tmp_path / "snap"))
+    assert fork.traj.t == pytest.approx(2 * cfg.t_ramp)
+    assert_snapshot(tmp_path / "snap.npz", fork.traj)
 
 
 def test_scan_without_dt_steps_at_the_stability_rule(prep, monkeypatch):
