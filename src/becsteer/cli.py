@@ -39,7 +39,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -155,8 +154,13 @@ def _cmd_scan(cfg, args, out_dir):
         prepared.append((tag, proto, prep, rates, error))
 
     jobs, prefixes = [], []
-    with (ProcessPoolExecutor(max_workers=args.workers) if args.workers > 1
-          else contextlib.nullcontext()) as pool:
+    if args.workers > 1:
+        # imported here: one process needs no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool_context = ProcessPoolExecutor(max_workers=args.workers)
+    else:
+        pool_context = contextlib.nullcontext()
+    with pool_context as pool:
         for tag, proto, prep, rates, error in prepared:
             grid_prefixes = []
             if error is not None:
@@ -279,6 +283,13 @@ def _cmd_losses(cfg, args, out_dir):
     return 0
 
 
+def _require(ok, msg=""):
+    """Fail a check: raised, not asserted, so that `python -O`, which strips
+    assert statements, runs every check too."""
+    if not ok:
+        raise AssertionError(msg)
+
+
 def _cmd_check(args):
     """Fast invariant suite on tiny grids; prints one line per check."""
     checks = []
@@ -295,7 +306,8 @@ def _cmd_check(args):
     from .fockflow import init_trajectories
     from .correlators import (MultiIndex, _tail_split, brute_force_average,
                               epr_witness, fock_sum_average, spin_moments)
-    from .oracle4mode import pulse_state, evolve_exact, oracle_moments
+    from .oracle4mode import (FourModeState, evolve_exact, oracle_moments,
+                              pulse_state)
 
     par = PhysicalParams()
     g4 = par.g4()
@@ -307,7 +319,7 @@ def _cmd_check(args):
         g = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         lhs = inner(grid, f, grid.kinetic(g))
         rhs = inner(grid, grid.kinetic(f), g)
-        assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+        _require(abs(lhs - rhs) < 1e-10 * abs(lhs))
     check("kinetic operator hermitian under volume weights", _kin_hermitian)
 
     V = 0.5 * (grid.r[:, None] ** 2 + grid.z[None, :] ** 2) * np.ones((4, 1, 1))
@@ -318,24 +330,24 @@ def _cmd_check(args):
     def _ground():
         ns = np.array([10., 10., 10., 10.])
         gs["psi"] = ground_state(grid, ns, V, g4)
-        assert gpe_residual(grid, gs["psi"], ns, V, g4).max() < 1e-7
+        _require(gpe_residual(grid, gs["psi"], ns, V, g4).max() < 1e-7)
     check("ground state stationary to 1e-7", _ground)
 
     def _pipeline():
         traj = init_trajectories(grid, g4, 20, 20, gs["psi"], beta=1)
         C = np.ones(4) / math.sqrt(2)
         traj.run(lambda t: V, 0.01, 40)
-        assert abs(traj.theta(1, 1) + traj.theta(-1, -1)) < 1e-14
-        assert traj.theta(0, 0) == 0.0
+        _require(abs(traj.theta(1, 1) + traj.theta(-1, -1)) < 1e-14)
+        _require(traj.theta(0, 0) == 0.0)
         inp = gs["inp"] = traj.correlator_inputs(C)
         m = spin_moments(inp)
         r = epr_witness(m)
-        assert 0.0 < r.e_epr < 1.5
+        _require(0.0 < r.e_epr < 1.5)
         # fast vs brute force on a one-body and a two-slot term
         for t in (MultiIndex((1, 0, 0, 0), (0, 1, 0, 0)), two_slot):
             f = fock_sum_average(inp, t)
             b = brute_force_average(inp, t)
-            assert abs(f - b) < 1e-9 * max(abs(b), 1.0), t
+            _require(abs(f - b) < 1e-9 * max(abs(b), 1.0), t)
     check("evolved pipeline: theta antisymmetry, witness, brute force "
           "(one- and two-slot)", _pipeline)
 
@@ -347,10 +359,10 @@ def _cmd_check(args):
         inp = dataclasses.replace(gs["inp"], grad=grad)
         xt = inp.grad[1] - inp.grad[0]
         ks = [inp._well_ks(well, two_slot.delta_tot)[0] for well in "ab"]
-        assert _tail_split(xt[0], xt[1], *ks).size > 0, "no exact tail"
+        _require(_tail_split(xt[0], xt[1], *ks).size > 0, "no exact tail")
         f = fock_sum_average(inp, two_slot)
         b = brute_force_average(inp, two_slot)
-        assert abs(f - b) < 1e-9 * max(abs(b), 1.0), f"fast {f}, brute {b}"
+        _require(abs(f - b) < 1e-9 * max(abs(b), 1.0), f"fast {f}, brute {b}")
     check("slot table with an exact tail: brute force (two-slot)", _tail)
 
     def _oracle():
@@ -358,8 +370,37 @@ def _cmd_check(args):
         st = evolve_exact(pulse_state(16, 4, C), 0.11, 0.0, 0.0)
         m = oracle_moments(st)
         target = 8.0 * math.cos(0.11) ** 15
-        assert abs(m.mean[0] - target) < 1e-10
-    check("four-mode oracle matches twisting closed form", _oracle)
+        _require(abs(m.mean[0] - target) < 1e-10)
+        # unequal wells, random amplitudes and an entangling twist: the
+        # memoized per-well sums against dense Kronecker-product spins,
+        # a0^dag a1 and (n1 - n0)/2 on |N_s0 = k>, S (x) 1 and 1 (x) S
+        rng = np.random.default_rng(7)
+        ns, amps = (5, 3), []
+        for n in ns:
+            a = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            amps.append(a / np.linalg.norm(a))
+        twist = rng.normal(scale=0.5, size=3)
+        m = oracle_moments(evolve_exact(FourModeState(*amps), *twist))
+        z_a, z_b = (np.arange(n + 1) - n / 2.0 for n in ns)
+        phi = (twist[0] * z_a[:, None] ** 2 + twist[1] * z_b[None, :] ** 2
+               - twist[2] * z_a[:, None] * z_b[None, :])
+        psi = np.exp(-1j * phi.ravel()) * np.kron(*amps)
+        ops = []
+        for n, place in ((ns[0], lambda s: np.kron(s, np.eye(ns[1] + 1))),
+                         (ns[1], lambda s: np.kron(np.eye(ns[0] + 1), s))):
+            k = np.arange(n + 1)
+            raise_k = np.diag(np.sqrt((k[:-1] + 1.0) * (n - k[:-1])), -1)
+            ops += [place((raise_k + raise_k.T) / 2),
+                    place((raise_k - raise_k.T) / 2j),
+                    place(np.diag((n - 2.0 * k) / 2))]
+        applied = [o @ psi for o in ops]
+        mean = np.array([np.vdot(psi, x).real for x in applied])
+        second = np.array([[np.vdot(x, y).real for y in applied]
+                           for x in applied])
+        _require(np.abs(m.mean - mean).max() < 1e-12, "mean")
+        _require(np.abs(m.second - second).max() < 1e-12, "second")
+    check("four-mode oracle matches twisting closed form and Kronecker-"
+          "product spins", _oracle)
 
     ok = True
     for name, good, msg in checks:

@@ -716,6 +716,37 @@ def _witness_sq(cov4, len_b, angles_a, angles_b):
     return num / den
 
 
+def _float_witness_sq(cov4, len_b):
+    """_witness_sq(cov4, len_b, alpha, beta) of two Python floats, as a
+    function of them: the arithmetic of _quadratures and _witness_sq, in
+    their order, on the floats of the 2 x 2 blocks A = cov4[:2, :2],
+    B = cov4[2:, 2:] and X = cov4[:2, 2:], with math.cos and math.sin.  The
+    refinement of epr_witness makes a few hundred calls, each a few times
+    cheaper than on NumPy scalars.  Raises WitnessUndefinedError where a
+    quadrature variance of well a vanishes: 0/0 in the inferred variance."""
+    (a00, a01, x00, x01), (a10, a11, x10, x11), (_, _, b00, b01), \
+        (_, _, b10, b11) = cov4.tolist()
+    len_b2 = len_b ** 2
+
+    def witness_sq(alpha, beta):
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        cb, sb = math.cos(beta), math.sin(beta)
+        var_a = ca * (a00 * ca + a01 * sa) + sa * (a10 * ca + a11 * sa)
+        var_a90 = -sa * (a00 * -sa + a01 * ca) + ca * (a10 * -sa + a11 * ca)
+        var_b = cb * (b00 * cb + b01 * sb) + sb * (b10 * cb + b11 * sb)
+        var_b90 = -sb * (b00 * -sb + b01 * cb) + cb * (b10 * -sb + b11 * cb)
+        cov_ab = ca * (x00 * cb + x01 * sb) + sa * (x10 * cb + x11 * sb)
+        cov_ab90 = -sa * (x00 * -sb + x01 * cb) + ca * (x10 * -sb + x11 * cb)
+        num = (4.0 * (var_a * var_b - cov_ab ** 2)
+               * (var_a90 * var_b90 - cov_ab90 ** 2))
+        den = var_a * var_a90 * len_b2
+        if not den:
+            raise WitnessUndefinedError(
+                f"quadrature variance of well a vanishes at alpha = {alpha}")
+        return num / den
+    return witness_sq
+
+
 def _golden_min(f, lo, hi, tol):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -738,14 +769,16 @@ def epr_witness(m):
     """Minimize the product steering witness over both quadrature angles.
 
     Coarse 2-degree grid scan over [0, pi)^2 followed by coordinatewise
-    golden-section refinement.  Shifting both angles by pi/2 swaps each
-    quadrature with its conjugate and leaves the witness unchanged, so each
-    minimum has a partner, and roundoff decides which one the search finds.
-    The one reported has inferred_var_1 <= inferred_var_2: a rule on the
-    moments, not on the angles.  Raises WitnessUndefinedError when the mean
-    spin of the inferring well has collapsed (witness denominator ~ 0), or
-    when the moments are not those of a state: a quadrature covariance that
-    is not positive semidefinite, or a negative squared witness.
+    golden-section refinement on Python floats.  Shifting both angles by
+    pi/2 swaps each quadrature with its conjugate and leaves the witness
+    unchanged, so each minimum has a partner, and roundoff decides which one
+    the search finds.  The one reported has inferred_var_1 <= inferred_var_2:
+    a rule on the moments, not on the angles.  Raises WitnessUndefinedError
+    when the mean spin of the inferring well has collapsed (witness
+    denominator ~ 0), when a quadrature variance of well a vanishes at a
+    refinement angle (its inferred variance is 0/0 there), or when the
+    moments are not those of a state: a quadrature covariance that is not
+    positive semidefinite, or a negative squared witness.
     """
     len_b = m.spin_length("b")
     if 2.0 * len_b / max(m.n_b, 1) < MIN_CONTRAST:
@@ -760,19 +793,17 @@ def epr_witness(m):
             f"{np.abs(eig).max():.3e}; the moments are not those of a state")
 
     grid = np.arange(0.0, math.pi, math.pi / 90.0)
-    aa, bb = np.meshgrid(grid, grid, indexing="ij")
-    vals = _witness_sq(cov4, len_b, aa, bb)
+    vals = _witness_sq(cov4, len_b, grid[:, None], grid[None, :])
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    alpha, beta = grid[i], grid[j]
+    alpha, beta = float(grid[i]), float(grid[j])
     half = math.pi / 90.0
 
+    witness_sq = _float_witness_sq(cov4, len_b)
     for _ in range(8):
-        alpha = _golden_min(
-            lambda x: _witness_sq(cov4, len_b, np.asarray(x), np.asarray(beta)),
-            alpha - half, alpha + half, ANGLE_TOL)
-        beta = _golden_min(
-            lambda x: _witness_sq(cov4, len_b, np.asarray(alpha), np.asarray(x)),
-            beta - half, beta + half, ANGLE_TOL)
+        alpha = _golden_min(lambda x: witness_sq(x, beta),
+                            alpha - half, alpha + half, ANGLE_TOL)
+        beta = _golden_min(lambda x: witness_sq(alpha, x),
+                           beta - half, beta + half, ANGLE_TOL)
         half = max(10.0 * ANGLE_TOL, half * 0.25)
 
     e2 = float(_witness_sq(cov4, len_b, np.asarray(alpha), np.asarray(beta)))

@@ -4,17 +4,17 @@ When the spatial dynamics is adiabatic the protocol reduces to evolution
 under chi_a (Sz_a)^2 + chi_b (Sz_b)^2 - chi_ab Sz_a Sz_b, diagonal in the
 Fock basis.  This module evolves that model exactly on a pulse state kept
 in product form (one amplitude vector per well and the accumulated twist),
-averages `MultiIndex` terms over it by one-well sums for `spin_moments`,
-extracts the chi coefficients from chemical-potential derivatives of the
-mean-field ground states, and reuses the witness machinery on the exact
-moments.  It provides both the adiabatic analytic curves and a correctness
+averages `MultiIndex` terms over it for `spin_moments` by one-well sums,
+each distinct one evaluated once per state, extracts the chi coefficients
+from chemical-potential derivatives of the mean-field ground states, and
+reuses the witness machinery on the exact moments.  It provides both the adiabatic analytic curves and a correctness
 oracle for the full pipeline.
 The pulse state's number distribution is `correlators.binomial_weights`, the
 same weight that every term of the correlators' Fock sum carries.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,11 +29,25 @@ class FourModeState:
     """A pulse followed by a twist: the state sum_k A(k_a) B(k_b) exp(-i Phi)
     over k_s = N_s0 = 0 .. n_s, with
     Phi = phi_a z_a^2 + phi_b z_b^2 - phi_ab z_a z_b and z_s = k_s - n_s / 2.
+
+    Immutable: the amplitudes are read-only copies, so what the memos keep
+    never goes stale.  `_cache` keeps the per-well sums and phase vectors
+    of this twist; `_pulse` keeps what the amplitudes alone fix (the
+    amplitude products and their falling-factorial weights), and
+    `evolve_exact` hands it on to every twist of one pulse.
     """
 
     amp_a: np.ndarray      # (n_a + 1,) complex, unit norm
     amp_b: np.ndarray      # (n_b + 1,) complex, unit norm
     twist: tuple = (0.0, 0.0, 0.0)     # (phi_a, phi_b, phi_ab)
+    _cache: dict = field(default_factory=dict, repr=False, init=False)
+    _pulse: dict = field(default_factory=dict, repr=False, init=False)
+
+    def __post_init__(self):
+        for name in ("amp_a", "amp_b"):
+            a = np.array(getattr(self, name))
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n_a(self):
@@ -42,6 +56,49 @@ class FourModeState:
     @property
     def n_b(self):
         return self.amp_b.size - 1
+
+    def _weighted(self, s, p, d0, d1, g0, g1):
+        """conj(amp[k + p]) amp[k] sqrt(f) of well s (0: a, 2: b) over the
+        k = max(0, -p) .. min(n, n - p) where the term's ladder acts, f the
+        product of its falling factorials; the amplitude product is shared
+        by every f of one p."""
+        key = (s, p, d0, d1, g0, g1)
+        hit = self._pulse.get(key)
+        if hit is not None:
+            return hit
+        amp = self.amp_a if s == 0 else self.amp_b
+        n = amp.size - 1
+        k = np.arange(max(0, -p), min(n, n - p) + 1)
+        m = k + p
+        prod = self._pulse.get((s, p))
+        if prod is None:
+            prod = self._pulse[s, p] = np.conj(amp[m]) * amp[k]
+        f = (falling(k, d0) * falling(n - k, d1)
+             * falling(m, g0) * falling(n - m, g1))
+        hit = self._pulse[key] = prod * np.sqrt(f)
+        return hit
+
+    def _well_sum(self, s, p, rate, d0, d1, g0, g1):
+        """sum_k conj(amp[k + p]) amp[k] sqrt(f) exp(i rate (k - n / 2)) of
+        well s, once per distinct sum.  The phase vector is built once per
+        rate over k = 0 .. n and sliced to each p's k; it is elementwise, so
+        a slice holds the bits of the vector built over that k alone.  A
+        rate is kept with its sign: 0.0 and -0.0 give phases whose zero
+        imaginary parts differ in sign."""
+        signed = (rate, math.copysign(1.0, rate))
+        key = ("sum", s, p, signed, d0, d1, g0, g1)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        n = (self.amp_a if s == 0 else self.amp_b).size - 1
+        phase = self._cache.get(("phase", s, signed))
+        if phase is None:
+            phase = self._cache["phase", s, signed] = np.exp(
+                1j * rate * (np.arange(n + 1) - n / 2.0))
+        weighted = self._weighted(s, p, d0, d1, g0, g1)
+        hit = self._cache[key] = np.sum(
+            weighted * phase[max(0, -p):min(n, n - p) + 1])
+        return hit
 
 
 def pulse_state(n_a, n_b, C):
@@ -62,9 +119,12 @@ def pulse_state(n_a, n_b, C):
 
 def evolve_exact(state, phi_a, phi_b, phi_ab):
     """Apply the accumulated twisting phases (the time integrals of the chi
-    coefficients); the twists commute, so they add."""
+    coefficients); the twists commute, so they add.  The new state shares
+    the pulse's twist-independent memo."""
     twist = tuple(t + p for t, p in zip(state.twist, (phi_a, phi_b, phi_ab)))
-    return FourModeState(state.amp_a, state.amp_b, twist)
+    out = FourModeState(state.amp_a, state.amp_b, twist)
+    object.__setattr__(out, "_pulse", state._pulse)
+    return out
 
 
 def four_mode_average(state, idx):
@@ -75,7 +135,8 @@ def four_mode_average(state, idx):
     k_s by p_s = gamma_s0 - delta_s0, its matrix element is a product of
     falling factorials, and Phi(k + p) - Phi(k) is a constant plus
     (2 phi_a p_a - phi_ab p_b) z_a plus the same for well b: one constant
-    times a sum over k_a and a sum over k_b.
+    times a sum over k_a and a sum over k_b.  The sums come from the
+    state's memo, which evaluates each distinct one once.
     """
     if not idx.conserves_wells():
         return 0.0 + 0.0j
@@ -84,15 +145,9 @@ def four_mode_average(state, idx):
     phi_a, phi_b, phi_ab = state.twist
     out = np.exp(1j * (phi_a * p_a ** 2 + phi_b * p_b ** 2
                        - phi_ab * p_a * p_b))
-    for amp, p, s, rate in ((state.amp_a, p_a, 0, 2 * phi_a * p_a - phi_ab * p_b),
-                            (state.amp_b, p_b, 2, 2 * phi_b * p_b - phi_ab * p_a)):
-        n = amp.size - 1
-        k = np.arange(max(0, -p), min(n, n - p) + 1)
-        m = k + p
-        f = (falling(k, d[s]) * falling(n - k, d[s + 1])
-             * falling(m, g[s]) * falling(n - m, g[s + 1]))
-        out *= np.sum(np.conj(amp[m]) * amp[k] * np.sqrt(f)
-                      * np.exp(1j * rate * (k - n / 2.0)))
+    for s, p, rate in ((0, p_a, 2 * phi_a * p_a - phi_ab * p_b),
+                       (2, p_b, 2 * phi_b * p_b - phi_ab * p_a)):
+        out *= state._well_sum(s, p, rate, d[s], d[s + 1], g[s], g[s + 1])
     return complex(out)
 
 

@@ -517,6 +517,18 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # only run --workers N > 1 starts a pool: the import of
+    # concurrent.futures.process (about 11 ms) waits for it
+    code = ("import sys, becsteer.cli\n"
+            "print('concurrent.futures.process' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(becsteer.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_check(capsys):
     assert main(["check"]) == 0
     out = capsys.readouterr().out
@@ -535,3 +547,34 @@ def test_cli_check_covers_the_exact_tail(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count("FAIL") == 1
     assert "FAIL: slot table with an exact tail" in out
+
+
+TAILLESS_CHECK = """\
+import sys
+import numpy as np
+from becsteer import cli, correlators
+
+def tailless(middle, g):
+    core, tail = middle
+    return np.concatenate([core @ g[:core.shape[1]],
+                           np.zeros((tail.size,) + g.shape[1:], g.dtype)])
+
+correlators._middle_times = tailless
+sys.exit(cli.main(["check"]))
+"""
+
+
+def test_cli_check_fails_under_optimize():
+    # python -O strips assert statements; the checks raise instead, so the
+    # tailless contraction fails there with the same line as without -O
+    src = os.path.dirname(os.path.dirname(becsteer.__file__))
+    runs = [subprocess.run([sys.executable, *flags, "-c", TAILLESS_CHECK],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+            for flags in ((), ("-O",))]
+    fails = [[line for line in r.stdout.splitlines() if line.startswith("FAIL")]
+             for r in runs]
+    assert [r.returncode for r in runs] == [1, 1]
+    assert len(fails[0]) == 1
+    assert fails[0][0].startswith("FAIL: slot table with an exact tail")
+    assert fails[1] == fails[0]

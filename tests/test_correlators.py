@@ -12,7 +12,9 @@ from becsteer.correlators import (CorrelatorInputs, MultiIndex, SpinMoments,
                                   brute_force_average, epr_witness,
                                   fock_sum_average, quadrature_moments,
                                   spin_moments)
-from becsteer.oracle4mode import four_mode_average, oracle_moments, pulse_state
+from becsteer.cli import main
+from becsteer.oracle4mode import (evolve_exact, four_mode_average,
+                                  oracle_moments, pulse_state)
 
 
 def synthetic_inputs(n_a, n_b, seed=0, grad_scale=0.03, C=None,
@@ -518,12 +520,122 @@ def test_witness_reports_one_partner_under_roundoff():
     assert np.minimum(d, math.pi - d).max() <= 1e-6
 
 
+def zero_d_witness(m):
+    """(e_epr, alpha, beta, inferred_var_1, inferred_var_2) of epr_witness's
+    search as written before its refinement ran on Python floats: a
+    meshgrid scan, then _witness_sq on 0-d arrays."""
+    cov4, len_b = correlators._cov4(m), m.spin_length("b")
+    grid = np.arange(0.0, math.pi, math.pi / 90.0)
+    aa, bb = np.meshgrid(grid, grid, indexing="ij")
+    vals = correlators._witness_sq(cov4, len_b, aa, bb)
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    alpha, beta = grid[i], grid[j]
+    half = math.pi / 90.0
+    for _ in range(8):
+        alpha = correlators._golden_min(
+            lambda x: correlators._witness_sq(cov4, len_b, np.asarray(x),
+                                              np.asarray(beta)),
+            alpha - half, alpha + half, correlators.ANGLE_TOL)
+        beta = correlators._golden_min(
+            lambda x: correlators._witness_sq(cov4, len_b, np.asarray(alpha),
+                                              np.asarray(x)),
+            beta - half, beta + half, correlators.ANGLE_TOL)
+        half = max(10.0 * correlators.ANGLE_TOL, half * 0.25)
+    e2 = float(correlators._witness_sq(cov4, len_b, np.asarray(alpha),
+                                       np.asarray(beta)))
+    var_a, var_a90, var_b, var_b90, cov_ab, cov_ab90 = \
+        correlators._quadratures(cov4, alpha, beta)
+    inf1 = float(var_b - cov_ab ** 2 / var_a)
+    inf2 = float(var_b90 - cov_ab90 ** 2 / var_a90)
+    if inf1 > inf2:
+        alpha, beta = alpha + math.pi / 2, beta + math.pi / 2
+        inf1, inf2 = inf2, inf1
+    return math.sqrt(e2), alpha % math.pi, beta % math.pi, inf1, inf2
+
+
+def libm_trig():
+    """Whether NumPy's cos and sin on 0-d float64 round as math's do.  NumPy
+    builds whose float64 sin and cos run a SIMD kernel (SVML on AVX-512)
+    may differ from the C library by an ulp at some angles."""
+    x = np.random.default_rng(0).uniform(-0.1, math.pi + 0.1, 2000)
+    return all(np.cos(np.asarray(v)) == math.cos(v)
+               and np.sin(np.asarray(v)) == math.sin(v) for v in x)
+
+
+def test_float_witness_equals_zero_d_witness():
+    # the refinement's float arithmetic against _witness_sq on 0-d arrays,
+    # at angles the refinement probes and angles anywhere
+    rng = np.random.default_rng(3)
+    pulse = pulse_state(1000, 1000, np.ones(4) / math.sqrt(2.0))
+    exact = libm_trig()
+    for m in (fig2a_moments(),
+              oracle_moments(evolve_exact(pulse, 0.0, 0.0, 0.02))):
+        cov4, len_b = correlators._cov4(m), m.spin_length("b")
+        f = correlators._float_witness_sq(cov4, len_b)
+        r = epr_witness(m)
+        angles = np.concatenate([
+            [r.alpha, r.beta] + rng.normal(scale=1e-4, size=(500, 2)),
+            rng.uniform(-0.1, math.pi + 0.1, (500, 2))])
+        for a, b in angles.tolist():
+            ref = float(correlators._witness_sq(cov4, len_b, np.asarray(a),
+                                                np.asarray(b)))
+            assert f(a, b) == (ref if exact else pytest.approx(ref, rel=1e-13))
+
+
+def tiny_moments(tmp_path, monkeypatch):
+    """The spin moments of the two points of the CLI tests' TINY config."""
+    from test_config_cli import write_tiny
+    import becsteer.sequence
+    seen = []
+
+    def recording(m):
+        seen.append(m)
+        return epr_witness(m)
+    monkeypatch.setattr(becsteer.sequence, "epr_witness", recording)
+    assert main(["run", "--config", write_tiny(tmp_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(seen) == 2
+    return seen
+
+
+def test_witness_search_on_floats_equals_zero_d_search(tmp_path, monkeypatch):
+    moments = [fig2a_moments()] + tiny_moments(tmp_path, monkeypatch)
+    pulse = pulse_state(1000, 1000, np.ones(4) / math.sqrt(2.0))
+    moments += [oracle_moments(evolve_exact(pulse, 0.0, 0.0, (5 + 25 * k) / 1e4))
+                for k in range(16)]
+    exact = libm_trig()
+    for m in moments:
+        r = epr_witness(m)
+        got = (r.e_epr, r.alpha, r.beta, r.inferred_var_1, r.inferred_var_2)
+        ref = zero_d_witness(m)
+        if exact:
+            assert got == ref
+        else:
+            # an ulp of cos or sin can flip a golden-section comparison, so
+            # each angle may move within a few stopping widths; the witness
+            # is stationary there, the inferred variances are not
+            assert got[0] == pytest.approx(ref[0], rel=1e-9)
+            assert got[1:3] == pytest.approx(ref[1:3], abs=1e-5)
+            assert got[3:] == pytest.approx(ref[3:], rel=1e-4)
+
+
 def test_witness_undefined_for_collapsed_spin():
     mean = np.zeros(6)
     second = np.diag(np.full(6, 2.5))
     m = SpinMoments(mean=mean, second=second, n_a=10, n_b=10)
     with pytest.raises(WitnessUndefinedError):
         epr_witness(m)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_witness_undefined_for_an_empty_well_a():
+    # no atom in well a: every quadrature variance of a vanishes, and the
+    # inferred variance var_b - cov_ab^2 / var_a is 0/0 at every angle (the
+    # grid scan's NumPy division warns; the refinement raises)
+    st = evolve_exact(pulse_state(0, 10, np.ones(4) / math.sqrt(2.0)),
+                      0.0, 0.0, 0.1)
+    with pytest.raises(WitnessUndefinedError, match="vanishes"):
+        epr_witness(oracle_moments(st))
 
 
 def test_witness_undefined_for_invalid_covariance():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from becsteer.correlators import MultiIndex
+from becsteer.correlators import MultiIndex, falling, spin_moments
 from becsteer.grid import build_grid
 from becsteer.meanfield import GS_TOL, PhysicalParams
 import becsteer.oracle4mode
@@ -180,6 +180,64 @@ def test_moments_match_kronecker_spin_matrices():
     m = oracle_moments(st)
     assert np.abs(m.mean - mean).max() < 1e-12
     assert np.abs(m.second - second).max() < 1e-12
+
+def per_term_average(state, idx):
+    """The four-mode average as written before the per-state memo: every
+    term evaluates both of its well sums afresh."""
+    if not idx.conserves_wells():
+        return 0.0 + 0.0j
+    g, d = idx.gamma_tot, idx.delta_tot
+    p_a, p_b = g[0] - d[0], g[2] - d[2]
+    phi_a, phi_b, phi_ab = state.twist
+    out = np.exp(1j * (phi_a * p_a ** 2 + phi_b * p_b ** 2
+                       - phi_ab * p_a * p_b))
+    for amp, p, s, rate in ((state.amp_a, p_a, 0, 2 * phi_a * p_a - phi_ab * p_b),
+                            (state.amp_b, p_b, 2, 2 * phi_b * p_b - phi_ab * p_a)):
+        n = amp.size - 1
+        k = np.arange(max(0, -p), min(n, n - p) + 1)
+        m = k + p
+        f = (falling(k, d[s]) * falling(n - k, d[s + 1])
+             * falling(m, g[s]) * falling(n - m, g[s + 1]))
+        out *= np.sum(np.conj(amp[m]) * amp[k] * np.sqrt(f)
+                      * np.exp(1j * rate * (k - n / 2.0)))
+    return complex(out)
+
+
+C_SKEWED = np.array([0.8, 0.6, 0.8, 0.6])
+
+
+@pytest.mark.parametrize("C", [C_HALF, C_SKEWED, C_PHASED],
+                         ids=["equal", "skewed", "phased"])
+@pytest.mark.parametrize("n", [3, 20, 1000, 4000])
+def test_memoized_moments_equal_per_term_formula(n, C):
+    # bit for bit: the memo evaluates each well sum once, from the same
+    # pieces multiplied in the same order and reduced by the same np.sum
+    rng = np.random.default_rng(n)
+    pulse = pulse_state(n, n // 2 + 1, C)
+    twists = [(0.0, 0.0, 0.0), (-0.01, 0.0, 0.0), (0.0, 0.0, 20.0 / n)]
+    twists += [tuple(rng.normal(scale=2.0 / n, size=3)) for _ in range(3)]
+    # twists of one pulse share its twist-independent memo
+    for twist in twists:
+        st = evolve_exact(pulse, *twist)
+        m = oracle_moments(st)
+        ref = spin_moments(st, evaluator=per_term_average)
+        assert np.array_equal(m.mean, ref.mean)
+        assert np.array_equal(m.second, ref.second)
+
+
+def test_state_is_read_only():
+    # the memos keep sums of the amplitudes: a write after construction
+    # raises, and a caller's array is copied, not shared
+    amp = np.ones(4, complex) / 2.0
+    st = FourModeState(amp, amp)
+    oracle_moments(st)
+    with pytest.raises(ValueError):
+        st.amp_a[0] = 0
+    with pytest.raises(ValueError):
+        evolve_exact(st, 0.1, 0.0, 0.0).amp_b[0] = 0
+    amp[0] = 0.0
+    assert st.amp_a[0] == 0.5 and st.amp_b[0] == 0.5
+
 
 def test_moments_trace_little_memory():
     # the per-well sums keep nothing of size (n_a + 1) x (n_b + 1): the dense
